@@ -59,7 +59,6 @@ var (
 	counters = flag.Bool("counters", false, "print the trial's engine counter bank")
 	memstats = flag.Bool("memstats", false, "print Go runtime allocation totals after the run (for harness memory tracking)")
 	verbose  = flag.Bool("v", false, "dump the full metric set")
-	queueSel = flag.String("queue", "", "event queue implementation: heap or wheel (empty = build default)")
 	repeat   = flag.Int("repeat", 1, "run the scenario N times in one pooled context; >1 exercises boot-snapshot forking (last run is reported)")
 )
 
@@ -79,21 +78,11 @@ func parseRates(s string) ([]float64, error) {
 
 // headlineCounters are the mechanism counters coregapctl always
 // surfaces — in -counters output and as Chrome counter tracks — even at
-// zero, so the active queue implementation and snapshot behaviour are
-// visible at a glance.
-var headlineCounters = []string{"wheel.cascade", "snapshot.fork", "snapshot.hit"}
+// zero, so snapshot behaviour is visible at a glance.
+var headlineCounters = []string{"snapshot.fork", "snapshot.hit"}
 
 func main() {
 	flag.Parse()
-
-	if *queueSel != "" {
-		k, err := sim.ParseQueueKind(*queueSel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coregapctl: %v\n", err)
-			os.Exit(2)
-		}
-		sim.SetDefaultQueue(k)
-	}
 
 	if *list {
 		for _, name := range exp.Names() {
@@ -323,8 +312,8 @@ func printMemStats() {
 }
 
 // writeTrace exports the trial's captured events as Chrome trace JSON,
-// with the headline mechanism counters (wheel cascades, snapshot
-// forks/hits) attached as counter tracks.
+// with the headline mechanism counters (snapshot forks/hits) attached
+// as counter tracks.
 func writeTrace(path, id string, trial exp.Trial) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"coregap/internal/guest"
 	"coregap/internal/sim"
 )
 
@@ -115,23 +118,42 @@ func TestTable5Shapes(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	r := RunFig3(42)
-	if r.Summary.Total < 30 {
-		t.Errorf("catalogue = %d, want 30+", r.Summary.Total)
+	// The deployed-mitigation verdicts are pinned exactly: they rest on
+	// which structures each attack's domains share, not on entry tags or
+	// the seed. (The shared-core zero-day count does depend on the seed:
+	// AEPIC leak needs one of the victim's few APIC-register entries to
+	// draw a secret bit.)
+	wantMitigated := []string{
+		"AEPIC leak", "Augury", "CacheOut", "CacheWarp", "CrossTalk",
+		"Foreshadow", "GhostRace", "GoFetch", "Leaky Address Masking",
+		"Meltdown", "Pandora's box (uarch leaks)", "SWAPGS",
+		"Snoop-assisted L1 sampling", "Spectre", "Speculation at fault",
+		"TikTag", "iTLB multihit",
 	}
-	// The battery: shared-core zero-day leaks nearly everything;
-	// core gapping leaves only CrossTalk.
-	if len(r.ZeroDayLeaks) < 20 {
-		t.Errorf("zero-day leaks = %d, want many", len(r.ZeroDayLeaks))
-	}
-	if len(r.MitigatedLeaks) >= len(r.ZeroDayLeaks) {
-		t.Error("deployed mitigations should reduce the leak set")
-	}
-	if len(r.CoreGappedLeaks) != 1 || r.CoreGappedLeaks[0] != "CrossTalk" {
-		t.Errorf("core-gapped leaks = %v, want [CrossTalk]", r.CoreGappedLeaks)
-	}
-	if r.SecuritySummary() == "" || r.Timeline.Rows() != r.Summary.Total {
-		t.Error("rendering shape")
+	for _, seed := range []uint64{42, 1729} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := RunFig3(seed)
+			if r.Summary.Total < 30 {
+				t.Errorf("catalogue = %d, want 30+", r.Summary.Total)
+			}
+			// The battery: shared-core zero-day leaks nearly everything;
+			// core gapping leaves only CrossTalk.
+			if len(r.ZeroDayLeaks) < 20 {
+				t.Errorf("zero-day leaks = %d, want many", len(r.ZeroDayLeaks))
+			}
+			if len(r.MitigatedLeaks) >= len(r.ZeroDayLeaks) {
+				t.Error("deployed mitigations should reduce the leak set")
+			}
+			if !slices.Equal(r.MitigatedLeaks, wantMitigated) {
+				t.Errorf("mitigated leaks = %q, want %q", r.MitigatedLeaks, wantMitigated)
+			}
+			if len(r.CoreGappedLeaks) != 1 || r.CoreGappedLeaks[0] != "CrossTalk" {
+				t.Errorf("core-gapped leaks = %v, want [CrossTalk]", r.CoreGappedLeaks)
+			}
+			if r.SecuritySummary() == "" || r.Timeline.Rows() != r.Summary.Total {
+				t.Error("rendering shape")
+			}
+		})
 	}
 }
 
@@ -222,6 +244,24 @@ func TestFig8Shapes(t *testing.T) {
 	ts, _ := r.Throughput.Series("SR-IOV shared-core").YAt(1 << 20)
 	if tg < ts*0.93 {
 		t.Errorf("SR-IOV gapped throughput %.2f well below shared %.2f at 1MiB", tg, ts)
+	}
+}
+
+// TestNetPIPELargeMessageDrains is the regression test for the
+// full-profile Fig 8 failure: at 4 MiB over virtio-net the final echo's
+// one-way trip outlasts a fixed post-halt drain window, so the trial
+// must keep draining until the last round completes.
+func TestNetPIPELargeMessageDrains(t *testing.T) {
+	spec := fig8Specs([]int{4 << 20}, 3, 42)[0]
+	if spec.Workload.Dev != guest.VirtioNet {
+		t.Fatalf("spec %s is not virtio-net", spec.ID)
+	}
+	tr, err := Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Values["rtt.ns"] <= 0 {
+		t.Errorf("rtt.ns = %v, want > 0", tr.Values["rtt.ns"])
 	}
 }
 

@@ -298,10 +298,18 @@ func (t *Trial) runNetPIPE(ctx *TrialContext, spec ScenarioSpec) error {
 	}
 	// Let the VM boot (hotplug handoff takes ~2 ms) before load starts.
 	n.Eng.After(5*sim.Millisecond, "start-netpipe", pp.Start)
-	n.RunUntilAllHalted(horizonOr(spec, 120*sim.Second))
+	horizon := horizonOr(spec, 120*sim.Second)
+	deadline := n.Eng.Now().Add(horizon)
+	n.RunUntilAllHalted(horizon)
 	// The guest halts after transmitting its final echo; drain the wire
-	// so the client sees it.
+	// so the client sees it. Small messages land within 5 ms, but a
+	// large one takes longer (a 4 MiB echo over virtio-net lands about
+	// 7 ms after the halt), so keep draining until the final echo
+	// arrives, bounded by the horizon.
 	n.Eng.RunFor(5 * sim.Millisecond)
+	for pp.Done() < w.Rounds && n.Eng.NextEventTime() <= deadline {
+		n.Eng.Step()
+	}
 	if pp.Done() < w.Rounds {
 		return fmt.Errorf("netpipe: only %d/%d rounds (%v %dB)", pp.Done(), w.Rounds, w.Dev, w.Bytes)
 	}

@@ -67,8 +67,8 @@ func ChromeTrace(w io.Writer, proc string, events []sim.TraceEvent) error {
 
 // ChromeTraceWithCounters is ChromeTrace plus counter tracks: every
 // entry of counters becomes a Chrome counter ("C") sample at the
-// trace's final timestamp, so headline engine totals — wheel cascades,
-// snapshot forks and hits — get their own lanes in the viewer next to
+// trace's final timestamp, so headline engine totals — snapshot forks
+// and hits — get their own lanes in the viewer next to
 // the event lanes. Counter samples are emitted in sorted name order;
 // zero values are included deliberately, pinning the track (and the
 // fact that the mechanism was off) into the trace.

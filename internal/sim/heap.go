@@ -1,21 +1,37 @@
 package sim
 
-// The 4-ary min-heap is the comparison-based eventQueue implementation,
-// ordered by (at, seq). It replaces container/heap to keep the hot path
-// free of interface boxing and indirect Less/Swap calls: tens of
-// millions of events flow through push/pop per benchsuite run, and the
-// comparison is two integer compares that the compiler can inline.
+// The engine's pending-event set is a 4-ary min-heap ordered by
+// (at, seq). It replaces container/heap to keep the hot path free of
+// interface boxing and indirect Less/Swap calls: tens of millions of
+// events flow through push/pop per benchsuite run, and the comparison
+// is two integer compares that the compiler can inline.
 //
 // A 4-ary layout halves the tree depth of a binary heap. Sift-down
 // scans up to four children per level, but those nodes share at most
 // two cache lines, so the trade wins on the pop-heavy workload of a
 // discrete-event simulator.
 //
+// The queue's contract with the engine:
+//
+//   - pop yields events in strict (at, seq) order, so same-instant
+//     events fire FIFO;
+//   - popRun pops the earliest event *and every queued sibling with the
+//     same timestamp* in one operation, appending them to buf in
+//     (at, seq) order. The engine dispatches timer/IPI storms from the
+//     returned run without re-touching the queue top per event;
+//   - a queued node's index field is its heap position (>= 0), and -1
+//     once popped or removed, which is what Event.Pending keys off (the
+//     engine re-marks nodes it holds in a dispatch batch; see
+//     batchIndex in sim.go);
+//   - peek never changes observable state, so RunUntil boundary checks
+//     are free of side effects on scheduling order;
+//   - push/pop/remove allocate nothing in steady state, preserving the
+//     zero-alloc gates in bench_test.go.
+//
 // Fired and cancelled nodes are recycled through an engine-owned free
 // list rather than garbage: in steady state At/After allocate nothing.
 // Recycling is what makes the generation counter on event necessary —
-// see Event in sim.go for the stale-handle story. The sibling
-// implementation lives in wheel.go; queue.go owns the selection.
+// see Event in sim.go for the stale-handle story.
 
 // event is the pooled, engine-owned queue node. External code never
 // sees an *event; it holds an Event handle (node pointer + generation).
@@ -23,13 +39,9 @@ type event struct {
 	at    Time
 	seq   uint64
 	gen   uint32 // bumped every time the node is recycled
-	index int32  // queue position (heap index or wheel lvl<<6|slot), -1 while not queued
+	index int32  // heap position, -1 while not queued
 	fn    func()
 	label string
-
-	// Intrusive list links, used only while the node is filed in a
-	// wheelQueue slot. nil under the heap implementation.
-	next, prev *event
 }
 
 // less orders the queue by time, breaking ties by schedule order so
@@ -63,17 +75,16 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// heapQueue is the 4-ary min-heap eventQueue. The backing array is kept
-// across drain/reset so a pooled engine reaches steady state with no
-// per-trial allocation.
+// heapQueue is the 4-ary min-heap. The backing array is kept across
+// drain/reset so a pooled engine reaches steady state with no per-trial
+// allocation.
 type heapQueue struct {
 	h []*event
 }
 
-func (q *heapQueue) kind() QueueKind { return QueueHeap }
-
 func (q *heapQueue) size() int { return len(q.h) }
 
+// peek returns the minimum node without removing it, or nil when empty.
 func (q *heapQueue) peek() *event {
 	if len(q.h) == 0 {
 		return nil
@@ -142,10 +153,12 @@ func (q *heapQueue) remove(ev *event) {
 	ev.index = -1
 }
 
-func (q *heapQueue) drain(recycle func(*event)) {
+// drain recycles every queued node into e's free list, keeping the
+// backing array so Engine.Reset allocates nothing.
+func (q *heapQueue) drain(e *Engine) {
 	for _, ev := range q.h {
 		ev.index = -1
-		recycle(ev)
+		e.recycle(ev)
 	}
 	q.h = q.h[:0]
 }

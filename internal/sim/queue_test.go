@@ -5,22 +5,137 @@ import (
 	"testing"
 )
 
-// Differential property test: the heap and the wheel must be
-// observationally indistinguishable. Both engines are driven with the
-// same fuzzed schedule/cancel/run stream derived from a seeded Source,
-// and every observable — fire order (time and label), handle liveness,
-// pending counts, NextEventTime at run boundaries — must match
-// exactly. `make check` runs this via the ordinary test suite; the
-// 64-seed sweep keeps it fast enough for every run while covering
-// cascade boundaries, same-instant FIFO ties, re-anchoring on empty,
-// and cancel-under-cascade interleavings.
+// Differential property test: the engine (4-ary heap plus same-instant
+// batch dispatch) must be observationally indistinguishable from a
+// sorted-slice reference model of the (at, seq) contract. Both are
+// driven with the same fuzzed schedule/cancel/run stream derived from a
+// seeded Source, and every observable — fire order, handle liveness,
+// pending counts, NextEventTime at run boundaries — must match exactly.
+// The 64-seed sweep covers same-instant FIFO ties, cancellation of
+// batched siblings and of stale handles, and empty-queue edges.
 
-// queueScript drives one engine with a deterministic pseudo-random
-// mix of operations and returns the observable trace.
-func queueScript(e *Engine, seed uint64, ops int) []string {
+// scheduler is the engine surface queueScript drives; *Engine and
+// *refEngine both satisfy it.
+type scheduler[H handle] interface {
+	After(d Duration, label string, fn func()) H
+	Cancel(h H)
+	Step() bool
+	Run()
+	RunFor(d Duration)
+	Now() Time
+	Pending() int
+	NextEventTime() Time
+}
+
+type handle interface {
+	Pending() bool
+	Time() Time
+}
+
+// refEngine is the reference model: pending events in an unsorted
+// slice, the minimum (at, seq) found by a linear scan on every step.
+// It shares no code with heap.go or the engine's batch dispatch.
+type refEngine struct {
+	now  Time
+	seq  uint64
+	pend []*refEvent
+}
+
+type refEvent struct {
+	at   Time
+	seq  uint64
+	fn   func()
+	live bool
+}
+
+func (h *refEvent) Pending() bool { return h.live }
+
+func (h *refEvent) Time() Time {
+	if !h.live {
+		return 0
+	}
+	return h.at
+}
+
+func (r *refEngine) After(d Duration, _ string, fn func()) *refEvent {
+	if d < 0 {
+		d = 0
+	}
+	r.seq++
+	ev := &refEvent{at: r.now.Add(d), seq: r.seq, fn: fn, live: true}
+	r.pend = append(r.pend, ev)
+	return ev
+}
+
+func (r *refEngine) Cancel(h *refEvent) {
+	if h.live {
+		r.unlink(h)
+	}
+}
+
+func (r *refEngine) unlink(h *refEvent) {
+	for i, ev := range r.pend {
+		if ev == h {
+			r.pend = append(r.pend[:i], r.pend[i+1:]...)
+			break
+		}
+	}
+	h.live = false
+}
+
+func (r *refEngine) min() *refEvent {
+	var m *refEvent
+	for _, ev := range r.pend {
+		if m == nil || ev.at < m.at || (ev.at == m.at && ev.seq < m.seq) {
+			m = ev
+		}
+	}
+	return m
+}
+
+func (r *refEngine) Step() bool {
+	m := r.min()
+	if m == nil {
+		return false
+	}
+	r.unlink(m)
+	r.now = m.at
+	m.fn()
+	return true
+}
+
+func (r *refEngine) Run() {
+	for r.Step() {
+	}
+}
+
+func (r *refEngine) RunFor(d Duration) {
+	t := r.now.Add(d)
+	for m := r.min(); m != nil && m.at <= t; m = r.min() {
+		r.Step()
+	}
+	if r.now < t {
+		r.now = t
+	}
+}
+
+func (r *refEngine) Now() Time    { return r.now }
+func (r *refEngine) Pending() int { return len(r.pend) }
+
+func (r *refEngine) NextEventTime() Time {
+	if m := r.min(); m != nil {
+		return m.at
+	}
+	return Forever
+}
+
+// queueScript drives one scheduler with a deterministic pseudo-random
+// mix of operations and returns the observable trace. With drain it
+// finishes by running the queue empty; without, events stay pending.
+func queueScript[H handle](e scheduler[H], seed uint64, ops int, drain bool) []string {
 	var out []string
-	src := NewSource(seed) // engine-independent: both sides see the same ops
-	var handles []Event
+	src := NewSource(seed) // scheduler-independent: both sides see the same ops
+	var handles []H
 	record := func(tag string) {
 		out = append(out, fmt.Sprintf("%s now=%d pend=%d next=%d", tag, e.Now(), e.Pending(), e.NextEventTime()))
 	}
@@ -34,15 +149,16 @@ func queueScript(e *Engine, seed uint64, ops int) []string {
 			case 1:
 				d = 0 // same-instant tie
 			default:
-				d = Duration(src.Intn(700) + 1) // short IPI/timer delta
+				// Short IPI/timer delta on a coarse grid, so distinct
+				// schedules often collide into same-instant batches.
+				d = Duration(src.Intn(7)+1) * 100
 			}
 			label := fmt.Sprintf("ev%d", i)
 			h := e.After(d, label, func() { out = append(out, "fire "+label) })
 			handles = append(handles, h)
-		case op < 60: // cancel a random outstanding handle (may be stale)
+		case op < 60: // cancel a recent handle: live, batched or stale
 			if len(handles) > 0 {
-				j := src.Intn(len(handles))
-				e.Cancel(handles[j])
+				e.Cancel(handles[len(handles)-1-src.Intn(min(len(handles), 16))])
 			}
 		case op < 70: // probe a random handle's liveness
 			if len(handles) > 0 {
@@ -58,58 +174,55 @@ func queueScript(e *Engine, seed uint64, ops int) []string {
 			record("stepped")
 		}
 	}
-	e.Run()
-	record("drained")
+	if drain {
+		e.Run()
+		record("drained")
+	}
 	return out
+}
+
+func diffTraces(t *testing.T, what string, want, got []string) {
+	t.Helper()
+	for i := 0; i < len(want) && i < len(got); i++ {
+		if want[i] != got[i] {
+			t.Fatalf("%s: trace diverges at %d:\nref:    %s\nengine: %s", what, i, want[i], got[i])
+		}
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: trace length ref=%d engine=%d", what, len(want), len(got))
+	}
 }
 
 func TestQueueDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 64; seed++ {
-		heap := NewEngineQueue(seed, QueueHeap)
-		wheel := NewEngineQueue(seed, QueueWheel)
-		want := queueScript(heap, seed, 400)
-		got := queueScript(wheel, seed, 400)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: trace length heap=%d wheel=%d", seed, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: trace diverges at %d:\nheap:  %s\nwheel: %s", seed, i, want[i], got[i])
-			}
-		}
+		want := queueScript[*refEvent](&refEngine{}, seed, 400, true)
+		got := queueScript[Event](NewEngine(seed), seed, 400, true)
+		diffTraces(t, fmt.Sprintf("seed %d", seed), want, got)
 	}
 }
 
-// TestQueueDifferentialReset replays the differential check across a
-// Reset boundary: a drained, reset wheel engine must keep matching the
-// heap on a fresh stream, proving drain leaves no residue (occupancy
-// bits, base, cached min).
+// TestQueueDifferentialReset replays the differential check across
+// Reset boundaries: a reset engine — half the time with events still
+// queued or batched at Reset — must match a fresh reference model,
+// proving drain leaves no residue in the heap, the batch buffer or the
+// handles.
 func TestQueueDifferentialReset(t *testing.T) {
-	heap := NewEngineQueue(7, QueueHeap)
-	wheel := NewEngineQueue(7, QueueWheel)
+	e := NewEngine(7)
 	for round := 0; round < 8; round++ {
 		seed := uint64(100 + round)
-		heap.Reset(seed)
-		wheel.Reset(seed)
-		// Leave events pending at Reset half the time to exercise drain.
+		e.Reset(seed)
 		ops := 300 + round*37
-		want := queueScriptNoDrain(heap, seed, ops, round%2 == 0)
-		got := queueScriptNoDrain(wheel, seed, ops, round%2 == 0)
-		if len(want) != len(got) {
-			t.Fatalf("round %d: trace length heap=%d wheel=%d", round, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("round %d: trace diverges at %d:\nheap:  %s\nwheel: %s", round, i, want[i], got[i])
+		drain := round%2 == 0
+		want := queueScript[*refEvent](&refEngine{}, seed, ops, drain)
+		got := queueScript[Event](e, seed, ops, drain)
+		diffTraces(t, fmt.Sprintf("round %d", round), want, got)
+		if !drain {
+			// Leave a same-instant run partially dispatched for the
+			// next Reset to discard.
+			for i := 0; i < 3; i++ {
+				e.After(0, "tie", func() {})
 			}
+			e.Step()
 		}
 	}
-}
-
-func queueScriptNoDrain(e *Engine, seed uint64, ops int, drain bool) []string {
-	out := queueScript(e, seed, ops)
-	if drain {
-		e.Run()
-	}
-	return out
 }

@@ -118,14 +118,13 @@ const batchIndex int32 = -2
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now       Time
-	seq       uint64
-	q         eventQueue   // pending events; heap.go / wheel.go, selected in queue.go
-	free      []*event     // recycled nodes; At/After allocate nothing in steady state
-	recycleFn func(*event) // e.recycle, bound once so Reset's drain allocates nothing
-	stopped   bool
-	seed      uint64
-	sources   map[string]*Source
+	now     Time
+	seq     uint64
+	q       heapQueue // pending events; see heap.go
+	free    []*event  // recycled nodes; At/After allocate nothing in steady state
+	stopped bool
+	seed    uint64
+	sources map[string]*Source
 
 	// Same-timestamp dispatch batch: Step pops the earliest event and
 	// every sibling sharing its timestamp in one popRun, then fires them
@@ -147,24 +146,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
-// sources derive from seed, using the process-default event queue (see
-// SetDefaultQueue).
+// sources derive from seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineQueue(seed, defaultQueue)
+	return &Engine{seed: seed, sources: make(map[string]*Source)}
 }
-
-// NewEngineQueue returns an engine backed by an explicit event-queue
-// implementation. The choice changes performance only: event order,
-// handles, and every observable stream are identical across kinds.
-func NewEngineQueue(seed uint64, k QueueKind) *Engine {
-	e := &Engine{seed: seed, sources: make(map[string]*Source)}
-	e.q = newQueue(e, k)
-	e.recycleFn = e.recycle
-	return e
-}
-
-// QueueKind reports which event-queue implementation backs this engine.
-func (e *Engine) QueueKind() QueueKind { return e.q.kind() }
 
 // Reset rewinds the engine to its just-constructed state for a new seed
 // while keeping every backing allocation: the heap's array, the node
@@ -178,7 +163,7 @@ func (e *Engine) QueueKind() QueueKind { return e.q.kind() }
 // Events still queued are discarded; their handles are invalidated by
 // the generation bump exactly as if they had been cancelled.
 func (e *Engine) Reset(seed uint64) {
-	e.q.drain(e.recycleFn)
+	e.q.drain(e)
 	for _, ev := range e.batch[e.batchPos:] {
 		ev.index = -1
 		if ev.fn == nil {

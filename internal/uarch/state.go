@@ -87,34 +87,28 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	if footprint > 1 {
 		footprint = 1
 	}
-	// Record one lazy fillRun per structure and advance the shared tag
-	// stream once for the whole batch. Stream consumption is identical
-	// to the historical eager loop — buffers fill in kind order, one
-	// Uint64 per entry (Float64+Uint64 when secret-tagged) — so every
-	// later consumer of tagSrc sees exactly the state the eager fills
-	// would have left, and materialization replays exactly the values
-	// they would have written. Touch is the simulator's single hottest
-	// loop (every execution slice on every core lands here, with n up
-	// to the 16K-entry L2); deferring the per-entry draws behind
-	// Source.Skip's jump matrices is what removed it from the profile.
-	st := tagSrc.State()
-	drawsPer := uint32(1)
+	// Record one lazy fillRun per structure, each seeded with a single
+	// draw from the shared tag stream: Touch advances tagSrc by exactly
+	// one draw per per-core structure, whatever the footprint, and a
+	// run's entries replay from sim.NewSource(seed) only if an
+	// entry-level reader ever looks. Tags are opaque identities — the
+	// security verdicts rest on each entry's domain and secret bit — so
+	// nothing depends on them continuing the shared stream. Touch is the
+	// simulator's single hottest loop (every execution slice on every
+	// core lands here, with n up to the 16K-entry L2); deferring the
+	// per-entry draws is what removed it from the profile.
 	frac := -1.0
 	if secretFrac > 0 {
-		drawsPer = 2
 		frac = secretFrac
 	}
-	var skip uint32
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		b := cs.bufs[k]
 		n := int(footprint * float64(b.cap))
 		if n == 0 {
 			n = 1
 		}
-		b.pushFill(d, n, frac, st, skip)
-		skip += drawsPer * uint32(n)
+		b.pushFill(d, n, frac, tagSrc.Uint64())
 	}
-	tagSrc.Skip(uint64(skip))
 }
 
 // Warmth reports the fraction of per-core cache/TLB/predictor capacity

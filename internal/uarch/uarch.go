@@ -134,14 +134,14 @@ type Entry struct {
 // policy does not affect any security verdict, only warmth decay shape.
 //
 // Bulk fills from Touch are LAZY: they are recorded as fillRuns (domain,
-// count, tag-stream start state) while the stream itself is advanced
-// with Source.Skip, and the per-entry draws only happen if an
+// count, tag seed), and the per-entry draws only happen if an
 // entry-level reader — Residue, Insert, FlushDomain — ever looks
-// (materialize replays the recorded runs and reconstructs entries
-// byte-identically to the eager fill). Aggregate readers — Len,
-// CountDomain, Occupancy, and through them Warmth — are answered from
-// ring-interval arithmetic over the runs without materializing, which
-// is what removes the fill loops from the simulator's hottest path.
+// (materialize replays each run from its seed, producing exactly the
+// entries eager Inserts drawn from sim.NewSource(seed) would have
+// written). Aggregate readers — Len, CountDomain, Occupancy, and through
+// them Warmth — are answered from ring-interval arithmetic over the runs
+// without materializing, which is what removes the fill loops from the
+// simulator's hottest path.
 type Buffer struct {
 	kind    StructKind
 	cap     int
@@ -158,12 +158,10 @@ type Buffer struct {
 }
 
 // fillRun is one deferred bulk fill: n entries by domain, whose tags
-// replay from src after skipping skip draws (the draws consumed by
-// earlier runs recorded in the same Touch batch). secretFrac < 0 marks
-// a plain fill (one draw per entry); >= 0 a secret fill (two).
+// replay from sim.NewSource(seed). secretFrac < 0 marks a plain fill
+// (one draw per entry); >= 0 a secret fill (two).
 type fillRun struct {
-	src        [4]uint64
-	skip       uint32
+	seed       uint64
 	n          int32
 	start      int32 // ring cursor where the run's first entry lands
 	domain     DomainID
@@ -300,9 +298,7 @@ func (b *Buffer) SecretResidue(reader DomainID) []Entry {
 }
 
 // Flush removes all entries (architectural flush, e.g. verw/DSB-style).
-// Pending fills are dropped unmaterialized — their tag draws were
-// consumed from the stream at fill time, exactly as an eager fill's
-// would have been.
+// Pending fills are dropped unmaterialized.
 func (b *Buffer) Flush() {
 	b.entries = b.entries[:0]
 	b.next = 0
@@ -338,10 +334,8 @@ func (b *Buffer) FlushDomain(d DomainID) {
 }
 
 // pushFill records a deferred bulk fill of n entries by domain d whose
-// tags derive from stream state src after skip draws. The caller is
-// responsible for advancing the live stream (Source.Skip) by exactly
-// the draws the fill would have consumed.
-func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, skip uint32) {
+// tags replay from sim.NewSource(seed).
+func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, seed uint64) {
 	if b.pend == 0 {
 		b.vlen, b.vnext = len(b.entries), b.next
 	}
@@ -350,7 +344,7 @@ func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, 
 		start = b.vnext
 	}
 	b.runs = append(b.runs, fillRun{
-		src: src, skip: skip, n: int32(n), start: int32(start),
+		seed: seed, n: int32(n), start: int32(start),
 		domain: d, secretFrac: secretFrac,
 	})
 	b.pend += n
@@ -365,8 +359,7 @@ func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, 
 	}
 	// Slide the window: runs fully overwritten by everything recorded
 	// after them will never be observed, so drop them (and their replay
-	// cost) now. The draws they consumed are already accounted for in
-	// the stream.
+	// cost) now.
 	drop := 0
 	for drop < len(b.runs)-1 && b.pend-int(b.runs[drop].n) >= b.cap {
 		b.pend -= int(b.runs[drop].n)
@@ -379,8 +372,8 @@ func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, src [4]uint64, 
 
 // materialize replays every pending run, reconstructing the exact
 // entries an eager fill would have produced: each run's tag stream is
-// restored from its recorded start state and its entries written at
-// their recorded ring positions. Runs dropped by the sliding window are
+// reseeded from its recorded seed and its entries written at their
+// recorded ring positions. Runs dropped by the sliding window are
 // not replayed; the entries they wrote are provably overwritten by the
 // runs that remain.
 func (b *Buffer) materialize() {
@@ -389,11 +382,7 @@ func (b *Buffer) materialize() {
 	}
 	for ri := range b.runs {
 		r := &b.runs[ri]
-		var s sim.Source
-		s.SetState(r.src)
-		if r.skip > 0 {
-			s.Skip(uint64(r.skip))
-		}
+		s := sim.NewSource(r.seed)
 		pos := int(r.start)
 		if r.secretFrac < 0 {
 			for i := 0; i < int(r.n); i++ {

@@ -301,11 +301,13 @@ func TestFlushCostsComplete(t *testing.T) {
 	}
 }
 
-// TestFillMatchesSequentialInsert pins the bulk-fill fast path to the
-// reference semantics: identical Source consumption and identical final
-// ring state as entry-by-entry Insert, across growth, wrap-around and
-// secret-tagging cases. Any divergence here breaks byte-identical
-// reproduction, not just performance.
+// TestFillMatchesSequentialInsert pins the lazy-fill contract: a run
+// recorded with seed materializes exactly the entries eager Inserts
+// drawn from sim.NewSource(seed) produce, in the same ring positions,
+// across growth, wrap-around and secret-tagging cases; Len and
+// CountDomain agree while runs are still pending; and Touch advances
+// the shared tag stream by exactly one draw (the run's seed) per
+// per-core structure.
 func TestFillMatchesSequentialInsert(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -320,46 +322,74 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := NewBuffer(L1D, tc.cap)
-			refSrc := sim.NewSource(99)
-			fast := NewBuffer(L1D, tc.cap)
-			fastSrc := sim.NewSource(99)
+			lazy := NewBuffer(L1D, tc.cap)
+			seeds := sim.NewSource(99)
 			for r, n := range tc.rounds {
 				d := Guest(r)
-				for i := 0; i < n; i++ {
-					secret := tc.secretFrac > 0 && refSrc.Float64() < tc.secretFrac
-					ref.Insert(Entry{Domain: d, Secret: secret, Tag: refSrc.Uint64()})
-				}
-				// Record the lazy run and advance the stream exactly as
-				// Touch does for each structure in its batch.
-				frac, draws := -1.0, uint64(n)
+				seed := seeds.Uint64()
+				eagerFill(ref, d, n, tc.secretFrac, seed)
+				frac := -1.0
 				if tc.secretFrac > 0 {
-					frac, draws = tc.secretFrac, uint64(2*n)
+					frac = tc.secretFrac
 				}
-				fast.pushFill(d, n, frac, fastSrc.State(), 0)
-				fastSrc.Skip(draws)
+				lazy.pushFill(d, n, frac, seed)
 				// Aggregates must agree while fills are still pending.
-				if ref.Len() != fast.Len() {
-					t.Fatalf("round %d: lazy Len %d, eager %d", r, fast.Len(), ref.Len())
+				if ref.Len() != lazy.Len() {
+					t.Fatalf("round %d: lazy Len %d, eager %d", r, lazy.Len(), ref.Len())
 				}
 				for probe := 0; probe <= r; probe++ {
-					if rc, fc := ref.CountDomain(Guest(probe)), fast.CountDomain(Guest(probe)); rc != fc {
-						t.Fatalf("round %d: lazy CountDomain(%v) %d, eager %d", r, Guest(probe), fc, rc)
+					if rc, lc := ref.CountDomain(Guest(probe)), lazy.CountDomain(Guest(probe)); rc != lc {
+						t.Fatalf("round %d: lazy CountDomain(%v) %d, eager %d", r, Guest(probe), lc, rc)
 					}
 				}
 			}
-			fast.materialize()
-			if ref.next != fast.next || len(ref.entries) != len(fast.entries) {
+			lazy.materialize()
+			if ref.next != lazy.next || len(ref.entries) != len(lazy.entries) {
 				t.Fatalf("ring state diverged: next %d/%d len %d/%d",
-					ref.next, fast.next, len(ref.entries), len(fast.entries))
+					ref.next, lazy.next, len(ref.entries), len(lazy.entries))
 			}
 			for i := range ref.entries {
-				if ref.entries[i] != fast.entries[i] {
-					t.Fatalf("entry %d diverged: %+v vs %+v", i, ref.entries[i], fast.entries[i])
+				if ref.entries[i] != lazy.entries[i] {
+					t.Fatalf("entry %d diverged: %+v vs %+v", i, ref.entries[i], lazy.entries[i])
 				}
 			}
-			if refSrc.Uint64() != fastSrc.Uint64() {
-				t.Fatal("random stream position diverged")
-			}
 		})
+	}
+	t.Run("touch", func(t *testing.T) {
+		cs := NewCoreState()
+		tagSrc, mirror := sim.NewSource(7), sim.NewSource(7)
+		const footprint, secretFrac = 0.4, 0.3
+		cs.Touch(Guest(0), footprint, secretFrac, tagSrc)
+		for _, k := range PerCoreKinds() {
+			b := cs.Buffer(k)
+			ref := NewBuffer(k, b.Cap())
+			n := int(footprint * float64(b.Cap()))
+			if n == 0 {
+				n = 1
+			}
+			eagerFill(ref, Guest(0), n, secretFrac, mirror.Uint64())
+			got, want := b.Residue(DomainHost), ref.Residue(DomainHost)
+			if len(got) != len(want) {
+				t.Fatalf("%v: %d entries, eager %d", k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v entry %d: %+v, eager %+v", k, i, got[i], want[i])
+				}
+			}
+		}
+		if tagSrc.Uint64() != mirror.Uint64() {
+			t.Fatal("Touch did not advance the tag stream by one draw per per-core structure")
+		}
+	})
+}
+
+// eagerFill is the reference fill: n entry-by-entry Inserts whose tags
+// (and, with secretFrac > 0, secret bits) are drawn from NewSource(seed).
+func eagerFill(b *Buffer, d DomainID, n int, secretFrac float64, seed uint64) {
+	src := sim.NewSource(seed)
+	for i := 0; i < n; i++ {
+		secret := secretFrac > 0 && src.Float64() < secretFrac
+		b.Insert(Entry{Domain: d, Secret: secret, Tag: src.Uint64()})
 	}
 }

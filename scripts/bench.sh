@@ -5,8 +5,8 @@
 # Quick mode (default, used by `make bench` / `make check`):
 #   - runs the internal/sim engine microbenchmarks (ns/op, allocs/op),
 #     including the empirical-delta replays (ScheduleShortDelta,
-#     TimerChurn) that decide the heap-vs-wheel event queue question,
-#     plus the internal/vmm open-loop arrival benchmark
+#     TimerChurn) of the heap event queue, plus the internal/vmm
+#     open-loop arrival benchmark
 #   - times a fixed benchsuite smoke run (-exp table3 -seed 42 -parallel 1)
 #   - times the open-loop headline: coregapctl serving 500 krps offered
 #     into a 1 Mi-connection pool (openloop_500k_s), and records
@@ -17,8 +17,8 @@
 #   - guards the headline serial keys (smoke wall_s, all_parallel1_s,
 #     openloop_parallel4_s, openloop_500k_s) against the previous
 #     BENCH_N.json: >10% slower prints a LOUD regression warning
-#   - stamps provenance (git SHA, go version, GOOS/GOARCH, active event
-#     queue, snapshot forking on/off)
+#   - stamps provenance (git SHA, go version, GOOS/GOARCH, snapshot
+#     forking on/off)
 #   - preserves the "suite" section of an existing BENCH_8.json,
 #     seeding it from BENCH_7.json (or BENCH_6.json) the first time
 #
@@ -28,10 +28,9 @@
 #     -exp because -exp all grew the open-loop experiments) at
 #     -parallel 1, 2, 4 and 8, plus a -fresh serial run as the
 #     construction-cost baseline
-#   - A/Bs the serial suite along this PR's two axes: -snapshot=false
-#     (all_parallel1_nosnapshot_s) and -queue wheel
-#     (all_parallel1_wheel_s), so the boot-snapshot win and the
-#     queue-implementation decision stay measured, not asserted
+#   - A/Bs the serial suite with -snapshot=false
+#     (all_parallel1_nosnapshot_s), so the boot-snapshot win stays
+#     measured, not asserted
 #   - times the open-loop experiments separately (openloop_parallel4_s)
 #     so their cost is visible without muddying the legacy trajectory
 #   - computes per-N parallel efficiency, eff(N) = p1 / (N * pN), and
@@ -46,9 +45,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 BENCH_OUT=${BENCH_OUT:-BENCH_8.json}
-# QUEUE selects the event-queue implementation for the suite runs (the
-# provenance records it); SNAPSHOT=0 disables boot-snapshot forking.
-QUEUE=${QUEUE:-heap}
+# SNAPSHOT=0 disables boot-snapshot forking.
 SNAPSHOT=${SNAPSHOT:-1}
 SNAPFLAG="-snapshot=true"
 [ "$SNAPSHOT" = "1" ] || SNAPFLAG="-snapshot=false"
@@ -78,20 +75,20 @@ walltime() {
 }
 
 echo "bench: smoke run (table3, serial)..."
-SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1 -queue "$QUEUE" $SNAPFLAG)
+SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1 $SNAPFLAG)
 
 echo "bench: open-loop headline (coregapctl, 500 krps, 1Mi connections)..."
-OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -queue "$QUEUE")
+OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576)
 # Allocation totals at 1x and 5x the offered rate, same pool size: with
 # the zero-alloc request lifecycle the ratio stays far below the 5x a
 # per-request-allocating generator would show.
-"$TMP/coregapctl" -workload openloop -rate 100000 -clients 1048576 -queue "$QUEUE" -memstats \
+"$TMP/coregapctl" -workload openloop -rate 100000 -clients 1048576 -memstats \
     | grep '^memstats:' >"$TMP/mem100k.txt"
-"$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -queue "$QUEUE" -memstats \
+"$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576 -memstats \
     | grep '^memstats:' >"$TMP/mem500k.txt"
 
 echo "bench: runner self-metrics (table3, -parallel 2)..."
-"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 -queue "$QUEUE" $SNAPFLAG \
+"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 $SNAPFLAG \
     -selfmetrics "$TMP/selfmetrics.json" >/dev/null
 
 GIT_SHA=$(git rev-parse HEAD 2>/dev/null || echo unknown)
@@ -103,21 +100,18 @@ SUITE_P4_S=""
 SUITE_P8_S=""
 SUITE_FRESH_P1_S=""
 SUITE_NOSNAP_P1_S=""
-SUITE_WHEEL_P1_S=""
 OPENLOOP_P4_S=""
 if [ "${BENCH_FULL:-0}" = "1" ]; then
     echo "bench: legacy suite, fresh (pooling off), -parallel 1..."
-    SUITE_FRESH_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -fresh -queue "$QUEUE")
+    SUITE_FRESH_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -fresh)
     for n in 1 2 4 8; do
         echo "bench: legacy suite, pooled, -parallel $n..."
-        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n -queue \"$QUEUE\" $SNAPFLAG)"
+        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n $SNAPFLAG)"
     done
     echo "bench: legacy suite A/B, serial, snapshot forking off..."
-    SUITE_NOSNAP_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -queue "$QUEUE" -snapshot=false)
-    echo "bench: legacy suite A/B, serial, timing-wheel queue..."
-    SUITE_WHEEL_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -queue wheel $SNAPFLAG)
+    SUITE_NOSNAP_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -snapshot=false)
     echo "bench: open-loop experiments, pooled, -parallel 4..."
-    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4 -queue "$QUEUE" $SNAPFLAG)
+    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4 $SNAPFLAG)
 fi
 
 MICRO="$TMP/micro.txt" SMOKE_S="$SMOKE_S" \
@@ -125,11 +119,11 @@ OPENLOOP_500K_S="$OPENLOOP_500K_S" \
 MEM100K="$TMP/mem100k.txt" MEM500K="$TMP/mem500k.txt" \
 SELFMETRICS="$TMP/selfmetrics.json" \
 GIT_SHA="$GIT_SHA" GO_VERSION="$GO_VERSION" \
-QUEUE="$QUEUE" SNAPSHOT="$SNAPSHOT" \
+SNAPSHOT="$SNAPSHOT" \
 SUITE_P1_S="$SUITE_P1_S" SUITE_P2_S="$SUITE_P2_S" \
 SUITE_P4_S="$SUITE_P4_S" SUITE_P8_S="$SUITE_P8_S" \
 SUITE_FRESH_P1_S="$SUITE_FRESH_P1_S" OPENLOOP_P4_S="$OPENLOOP_P4_S" \
-SUITE_NOSNAP_P1_S="$SUITE_NOSNAP_P1_S" SUITE_WHEEL_P1_S="$SUITE_WHEEL_P1_S" \
+SUITE_NOSNAP_P1_S="$SUITE_NOSNAP_P1_S" \
 BENCH_OUT="$BENCH_OUT" \
 python3 - <<'PYEOF'
 import json, os, re
@@ -205,10 +199,7 @@ suite.setdefault("baseline_pr7", {"all_parallel1_s": 30.30, "all_parallel2_s": 2
 suite.setdefault("note_pr7", "suite deltas vs baseline_pr6 are host drift; "
                  "interleaved pre/post A-B showed no instrumentation overhead")
 suite.setdefault("note_pr8", "lazy uarch fills + boot-snapshot forking collapsed the "
-                 "serial suite ~15x vs baseline_pr7; the timing-wheel queue wins raw "
-                 "short-delta scheduling but loses the cancel-heavy TimerChurn replay "
-                 "and the suite A/B (all_parallel1_wheel_s), so the 4-ary heap stays "
-                 "the build default")
+                 "serial suite ~15x vs baseline_pr7")
 suite.setdefault("note_pr10", "batched arrival generation + a free-listed request "
                  "arena made the open-loop hot path allocation-free, and streamed "
                  "trial reduction releases window buffers as workers finish; "
@@ -225,8 +216,6 @@ if os.environ.get("SUITE_FRESH_P1_S", ""):
     suite["all_fresh_parallel1_s"] = float(os.environ["SUITE_FRESH_P1_S"])
 if os.environ.get("SUITE_NOSNAP_P1_S", ""):
     suite["all_parallel1_nosnapshot_s"] = float(os.environ["SUITE_NOSNAP_P1_S"])
-if os.environ.get("SUITE_WHEEL_P1_S", ""):
-    suite["all_parallel1_wheel_s"] = float(os.environ["SUITE_WHEEL_P1_S"])
 if os.environ.get("OPENLOOP_P4_S", ""):
     suite["openloop_parallel4_s"] = float(os.environ["OPENLOOP_P4_S"])
 if os.environ.get("OPENLOOP_500K_S", ""):
@@ -308,7 +297,6 @@ doc = {
     "provenance": {
         "git_sha": os.environ.get("GIT_SHA", "unknown"),
         "go_version": os.environ.get("GO_VERSION", "unknown"),
-        "queue": os.environ.get("QUEUE", "heap"),
         "snapshot_forking": os.environ.get("SNAPSHOT", "1") == "1",
     },
     # Efficiency is relative to the measuring host; on a single-CPU
@@ -317,9 +305,9 @@ doc = {
     "host_cpus": os.cpu_count(),
     "commands": {
         "micro": "go test -bench 'BenchmarkSchedule$|BenchmarkCancel$|BenchmarkChurn$|BenchmarkScheduleShortDelta$|BenchmarkTimerChurn$' -benchmem ./internal/sim + go test -bench BenchmarkOpenLoopArrivals$ -benchmem ./internal/vmm",
-        "smoke": "benchsuite -exp table3 -seed 42 -parallel 1 -queue <queue>",
+        "smoke": "benchsuite -exp table3 -seed 42 -parallel 1",
         "openloop_500k": "coregapctl -workload openloop -rate {100000,500000} -clients 1048576 [-memstats]",
-        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} -queue <queue> [+ -fresh | -snapshot=false | -queue wheel at -parallel 1]",
+        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} [+ -fresh | -snapshot=false at -parallel 1]",
         "openloop": "benchsuite -exp openloop,openloop-burst -seed 42 -parallel 4",
         "runner": "benchsuite -exp table3 -seed 42 -parallel 2 -selfmetrics <file>",
     },
@@ -334,7 +322,7 @@ print(f"bench: wrote {out}")
 PYEOF
 
 # The gate half of `make bench`: the steady-state schedule/fire path —
-# both queue implementations, tracing off and on, including Engine.Reset
+# tracing off and on, including Engine.Reset
 # reuse — must stay allocation-free, the streaming recorder's record
 # path must stay allocation-free once its pages are faulted in, the
 # open-loop generator's steady state (arrivals, delivery, response
