@@ -13,8 +13,10 @@ all: check
 
 check: vet build race-fast race smoke trace-smoke bench determinism
 
+# gofmt -l lists unformatted files; any output fails the gate.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -44,18 +44,21 @@ func (v *VCPU) postRunCall() {
 	// self-initiated exit is folded in here.
 	if len(v.kickQueue) > 0 {
 		v.pendingInj = append(v.pendingInj, v.kickQueue...)
-		v.kickQueue = nil
+		v.kickQueue = v.kickQueue[:0]
 		v.kickRequested = false
 	}
 	v.mb.Post("run", p.Transport.Prop)
-	v.eng().After(p.Transport.PickupLatency(), v.mb.Name()+":pickup", func() {
-		if v.stopped {
-			return
-		}
-		if _, ok := v.mb.TryTake(); ok {
-			v.enterGuest()
-		}
-	})
+	v.eng().After(p.Transport.PickupLatency(), "pickup", v.pickupFn)
+}
+
+// pickup is the monitor's poll loop noticing the posted run call.
+func (v *VCPU) pickup() {
+	if v.stopped {
+		return
+	}
+	if _, ok := v.mb.TryTake(); ok {
+		v.enterGuest()
+	}
 }
 
 // enterGuest is the monitor-side REC entry on the dedicated core.
@@ -71,48 +74,58 @@ func (v *VCPU) enterGuest() {
 	n.Eng.Count(cRECEnter)
 	n.Eng.Trace().Emit(sim.TCExit, "core.rec_enter", int32(v.dcore), int64(v.idx))
 	if v.haveExitStamp {
-		n.Met.Lat(v.vm.name+".runtorun", n.Eng.Now(), n.Eng.Now().Sub(v.exitCompletedAt))
+		now := n.Eng.Now()
+		v.vm.latency(&v.vm.met.runtorun, ".runtorun").Record(now, now.Sub(v.exitCompletedAt))
 		v.haveExitStamp = false
 	}
 	// Context restore on the dedicated core, then guest execution.
-	v.eng().After(p.CtxSaveWipe, "ctx-restore", func() {
-		if v.stopped {
-			return
-		}
-		v.inGuest = true
-		v.epoch++
-		v.startTimers()
-		n.Mach.Core(v.dcore).RecordExecution(v.vm.domain, v.footprint(), 0.02)
+	v.eng().After(p.CtxSaveWipe, "ctx-restore", v.ctxRestoreFn)
+}
 
-		// Deliver interrupts the host passed in the run call.
-		inj := v.pendingInj
-		v.pendingInj = nil
-		var handlerCost sim.Duration
-		for _, ev := range inj {
-			v.deliverEvent(ev)
-			handlerCost += p.GuestIRQHandle
-		}
-		epoch := v.epoch
-		proceed := func() {
-			if v.stopped || !v.inGuest || v.epoch != epoch {
-				// An exit intervened while the handler cost elapsed;
-				// the re-entry path owns the continuation now.
-				return
-			}
-			if v.tickEOIPending {
-				// Second exit of a non-delegated timer tick.
-				v.tickEOIPending = false
-				v.exitToHost(exitInfo{reason: ExitTimer})
-				return
-			}
-			v.resumeGuest() // WFI guests simply keep sitting on their core
-		}
-		if handlerCost > 0 {
-			v.eng().After(handlerCost, "irq-handlers", proceed)
-		} else {
-			proceed()
-		}
-	})
+// ctxRestore completes REC entry: restore the guest context, deliver
+// the interrupts the host passed in the run call, and resume the guest
+// once their handlers have run.
+func (v *VCPU) ctxRestore() {
+	if v.stopped {
+		return
+	}
+	n := v.node()
+	p := v.params()
+	v.inGuest = true
+	v.epoch++
+	v.startTimers()
+	n.Mach.Core(v.dcore).RecordExecution(v.vm.domain, v.footprint(), 0.02)
+
+	// Deliver interrupts the host passed in the run call. The slice is
+	// handed back empty so its array is reused by the next run call.
+	var handlerCost sim.Duration
+	for _, ev := range v.pendingInj {
+		v.deliverEvent(ev)
+		handlerCost += p.GuestIRQHandle
+	}
+	v.pendingInj = v.pendingInj[:0]
+	if handlerCost > 0 {
+		v.after(handlerCost, "irq-handlers", contEntry, 0)
+	} else {
+		v.entryProceed(v.epoch)
+	}
+}
+
+// entryProceed resumes the guest after the entry's interrupt handlers,
+// unless an exit (tagged by epoch) intervened while they ran.
+func (v *VCPU) entryProceed(epoch uint64) {
+	if v.stopped || !v.inGuest || v.epoch != epoch {
+		// An exit intervened while the handler cost elapsed;
+		// the re-entry path owns the continuation now.
+		return
+	}
+	if v.tickEOIPending {
+		// Second exit of a non-delegated timer tick.
+		v.tickEOIPending = false
+		v.exitToHost(exitInfo{reason: ExitTimer})
+		return
+	}
+	v.resumeGuest() // WFI guests simply keep sitting on their core
 }
 
 // advance interprets the program's next action on the dedicated core.
@@ -145,14 +158,8 @@ func (v *VCPU) advance() {
 		if req.Dev == guest.SRIOVNet {
 			// Pass-through doorbell: a device register write, no trap.
 			v.remWork = 200
-			v.afterCompute = func() {
-				v.vm.VMM.VF.Submit(v.idx, req)
-				if req.Sync {
-					v.waitIO = true
-				} else {
-					v.advance()
-				}
-			}
+			v.doorbell = req
+			v.afterCompute = v.vfDoorbellFn
 			v.startGuestCompute()
 			return
 		}
@@ -188,6 +195,19 @@ func (v *VCPU) advance() {
 	}
 }
 
+// vfDoorbell is the continuation of the SR-IOV doorbell write: the
+// request goes to the VF and the guest continues (or waits for a
+// synchronous completion).
+func (v *VCPU) vfDoorbell() {
+	req := v.doorbell
+	v.vm.VMM.VF.Submit(v.idx, req)
+	if req.Sync {
+		v.waitIO = true
+	} else {
+		v.advance()
+	}
+}
+
 // afterCompute optionally overrides the continuation of the current
 // compute slice (used for doorbell costs and handler sequences).
 // It is consumed on completion.
@@ -200,19 +220,22 @@ func (v *VCPU) startGuestCompute() {
 		// handler) already resumed the guest; the first wins.
 		return
 	}
-	core.Exec.Start(v.mb.Name()+":guest", v.remWork, 1.0, func() {
-		v.remWork = 0
-		cont := v.afterCompute
-		v.afterCompute = nil
-		if v.stopped {
-			return
-		}
-		if cont != nil {
-			cont()
-		} else {
-			v.advance()
-		}
-	})
+	core.Exec.Start("guest", v.remWork, 1.0, v.guestDoneFn)
+}
+
+// guestDone is the completion of a guest compute slice.
+func (v *VCPU) guestDone() {
+	v.remWork = 0
+	cont := v.afterCompute
+	v.afterCompute = nil
+	if v.stopped {
+		return
+	}
+	if cont != nil {
+		cont()
+	} else {
+		v.advance()
+	}
 }
 
 // pauseGuestCompute preempts the guest, remembering remaining work.
@@ -257,18 +280,26 @@ func (v *VCPU) exitToHost(info exitInfo) {
 	v.epoch++
 	v.countExit(info.reason)
 	n.Mon.NoteExit(v.rec)
+	v.exit = info
+	v.eng().After(p.CtxSaveWipe, "ctx-save", v.ctxSaveFn)
+}
 
-	v.eng().After(p.CtxSaveWipe, "ctx-save", func() {
-		if v.stopped {
-			return
-		}
-		v.mb.Complete(info, p.Transport.Prop)
-		v.exitCompletedAt = n.Eng.Now()
-		v.haveExitStamp = true
-		if !n.Opts.BusyWaitRPC {
-			n.Mach.SendIPI(v.dcore, v.vm.assign.hostCore, hw.IPIGuestExit)
-		}
-	})
+// ctxSave ends the monitor's exit path: the exit record goes to shared
+// memory and the host core is notified.
+func (v *VCPU) ctxSave() {
+	if v.stopped {
+		return
+	}
+	n := v.node()
+	// The mailbox carries only the completion; the record itself stays
+	// in v.exit, which no later exit can overwrite before the host has
+	// finished this one.
+	v.mb.Complete(nil, v.params().Transport.Prop)
+	v.exitCompletedAt = n.Eng.Now()
+	v.haveExitStamp = true
+	if !n.Opts.BusyWaitRPC {
+		n.Mach.SendIPI(v.dcore, v.vm.assign.hostCore, hw.IPIGuestExit)
+	}
 }
 
 // hostPollOnce checks this vCPU's channel for a completed exit and, if
@@ -276,16 +307,17 @@ func (v *VCPU) exitToHost(info exitInfo) {
 // the wake-up thread (IPI mode) or from the vCPU thread's own poll loop
 // (busy-wait mode).
 func (v *VCPU) hostPollOnce() {
-	resp, ok := v.mb.TryResponse()
-	if !ok {
+	if _, ok := v.mb.TryResponse(); !ok {
 		return
 	}
-	info := resp.(exitInfo)
-	n := v.node()
-	work := v.hostExitWork(info)
-	n.Kern.Submit(v.thread, "exit:"+info.reason.String(), work, func() {
-		v.finishExit(info)
-	})
+	r := v.exit.reason
+	v.node().Kern.Submit(v.thread, exitLabels[r], v.hostExitWork(v.exit), v.finishExitFn)
+}
+
+// busyPoll is the busy-wait ablation's idle-poll body: one poll slice,
+// then a check of the mailbox.
+func (v *VCPU) busyPoll() (sim.Duration, func()) {
+	return v.params().BusyPollSlice, v.hostPollFn
 }
 
 // hostExitWork is the host-side CPU cost of handling one exit. Every
@@ -313,11 +345,13 @@ func (v *VCPU) hostExitWork(info exitInfo) sim.Duration {
 	}
 }
 
-// finishExit completes host-side exit handling and re-enters the guest.
-func (v *VCPU) finishExit(info exitInfo) {
+// finishExit completes host-side handling of v.exit and re-enters the
+// guest.
+func (v *VCPU) finishExit() {
 	if v.stopped {
 		return
 	}
+	info := v.exit
 	switch info.reason {
 	case ExitMMIO:
 		v.vm.VMM.Submit(v.idx, info.req)
@@ -331,7 +365,7 @@ func (v *VCPU) finishExit(info exitInfo) {
 		}
 	case ExitKick:
 		v.pendingInj = append(v.pendingInj, v.kickQueue...)
-		v.kickQueue = nil
+		v.kickQueue = v.kickQueue[:0]
 		v.kickRequested = false
 	case ExitHalt:
 		return // never re-entered
@@ -364,21 +398,24 @@ func (v *VCPU) hostRequestInjection(ev guest.Event) {
 		return
 	}
 	v.kickRequested = true
-	n.Kern.Submit(v.thread, "inject-kick", work, func() {
-		if v.stopped {
-			return
-		}
-		// If the guest is currently in (or entering) a run call, doorbell
-		// its core; the monitor will exit with ExitKick. Otherwise the
-		// events ride along on the next entry.
-		if v.mb.State() == rpc.Serving {
-			n.Mach.SendIPI(v.vm.assign.hostCore, v.dcore, hw.IPIHostToRMM)
-		} else {
-			v.pendingInj = append(v.pendingInj, v.kickQueue...)
-			v.kickQueue = nil
-			v.kickRequested = false
-		}
-	})
+	n.Kern.Submit(v.thread, "inject-kick", work, v.injectKickFn)
+}
+
+// injectKick is the host's kick work item for queued injections.
+func (v *VCPU) injectKick() {
+	if v.stopped {
+		return
+	}
+	// If the guest is currently in (or entering) a run call, doorbell
+	// its core; the monitor will exit with ExitKick. Otherwise the
+	// events ride along on the next entry.
+	if v.mb.State() == rpc.Serving {
+		v.node().Mach.SendIPI(v.vm.assign.hostCore, v.dcore, hw.IPIHostToRMM)
+	} else {
+		v.pendingInj = append(v.pendingInj, v.kickQueue...)
+		v.kickQueue = v.kickQueue[:0]
+		v.kickRequested = false
+	}
 }
 
 // onHostKick runs on the dedicated core when the host doorbells it.
@@ -404,36 +441,21 @@ func (v *VCPU) onTick() {
 	}
 	n := v.node()
 	p := v.params()
-	n.Met.Counter(v.vm.name + ".ticks").Inc()
+	v.vm.count(&v.vm.met.ticks, ".ticks")
 
 	if n.Opts.DelegateTimer {
 		// Monitor-local emulation (§4.4): trap, re-arm, inject, guest
 		// handler — all on the dedicated core, no host interaction.
 		n.Eng.Count(cTickDeleg)
 		n.Eng.Trace().Emit(sim.TCIRQ, "core.tick_delegated", int32(v.dcore), int64(v.idx))
-		n.Met.Counter(v.vm.name + ".ticks.delegated").Inc()
+		v.vm.count(&v.vm.met.ticksDelegated, ".ticks.delegated")
 		if !v.inGuest {
 			return // vCPU between run calls; tick state folded into entry
 		}
 		v.pauseGuestCompute()
 		cost := p.RMMTimerHandle + p.GuestIRQHandle
 		n.Mach.Core(v.dcore).RecordExecution(uarch.DomainMonitor, 0.02, 0)
-		epoch := v.epoch
-		v.eng().After(cost, "tick-delegated", func() {
-			if v.stopped || !v.inGuest || v.epoch != epoch {
-				// An exit (and possibly re-entry) intervened; the tick
-				// folded into the exit path.
-				return
-			}
-			v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
-			if v.idle {
-				// Timer wake-up from WFI: re-evaluate the program.
-				v.idle = false
-				v.advance()
-				return
-			}
-			v.resumeGuest()
-		})
+		v.after(cost, "tick-delegated", contTick, 0)
 		return
 	}
 
@@ -446,6 +468,27 @@ func (v *VCPU) onTick() {
 	v.tickEOIPending = true
 	v.exitToHost(exitInfo{reason: ExitTimer})
 }
+
+// delegatedTickDone ends the monitor's local tick emulation, unless an
+// exit (tagged by epoch) intervened.
+func (v *VCPU) delegatedTickDone(epoch uint64) {
+	if v.stopped || !v.inGuest || v.epoch != epoch {
+		// An exit (and possibly re-entry) intervened; the tick
+		// folded into the exit path.
+		return
+	}
+	v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
+	if v.idle {
+		// Timer wake-up from WFI: re-evaluate the program.
+		v.idle = false
+		v.advance()
+		return
+	}
+	v.resumeGuest()
+}
+
+func (v *VCPU) onMgmt() { v.onResidual(ExitMgmtIRQ) }
+func (v *VCPU) onMisc() { v.onResidual(ExitMisc) }
 
 // onResidual fires a background management/miscellaneous exit.
 func (v *VCPU) onResidual(reason ExitReason) {
@@ -476,24 +519,24 @@ func (v *VCPU) delegatedVIPI(target int) {
 	p := v.params()
 	n.Eng.Count(cVIPIDeleg)
 	n.Eng.Trace().Emit(sim.TCIRQ, "core.vipi_delegated", int32(v.dcore), int64(target))
-	n.Met.Counter(v.vm.name + ".vipi.delegated").Inc()
+	v.vm.count(&v.vm.met.vipiDelegated, ".vipi.delegated")
 	if target < 0 || target >= len(v.vm.vcpus) {
 		v.advance()
 		return
 	}
-	tgt := v.vm.vcpus[target]
 	// Sender-side trap and routing cost in the monitor.
 	v.remWork = 0
-	v.eng().After(p.RMMVIPIHandle, "vipi-delegated", func() {
-		if v.stopped {
-			return
-		}
-		// Physical IPI to the target's dedicated core.
-		v.eng().After(n.Mach.IPILatency(), "vipi-wire", func() {
-			tgt.receiveDelegatedVIPI(v.idx)
-		})
-		v.advance() // sender continues immediately after the trap
-	})
+	v.after(p.RMMVIPIHandle, "vipi-delegated", contVIPISent, target)
+}
+
+// delegatedVIPISent ends the sender's trap: the physical IPI leaves for
+// the target's dedicated core and the sender continues.
+func (v *VCPU) delegatedVIPISent(target int) {
+	if v.stopped {
+		return
+	}
+	v.after(v.node().Mach.IPILatency(), "vipi-wire", contVIPIWire, target)
+	v.advance() // sender continues immediately after the trap
 }
 
 // receiveDelegatedVIPI injects a vIPI on the target's dedicated core.
@@ -508,21 +551,25 @@ func (v *VCPU) receiveDelegatedVIPI(from int) {
 		return
 	}
 	v.pauseGuestCompute()
-	epoch := v.epoch
-	v.eng().After(p.RMMVIPIHandle+p.GuestIRQHandle, "vipi-deliver", func() {
-		if v.stopped {
-			return
-		}
-		if !v.inGuest || v.epoch != epoch {
-			// The guest exited under us: deliver on its next entry so
-			// the interrupt is never lost.
-			v.pendingInj = append(v.pendingInj, guest.Event{Kind: guest.EvVIPI, From: from})
-			return
-		}
-		if v.deliverEvent(guest.Event{Kind: guest.EvVIPI, From: from}) {
-			v.advance()
-			return
-		}
-		v.resumeGuest()
-	})
+	v.after(p.RMMVIPIHandle+p.GuestIRQHandle, "vipi-deliver", contVIPIDeliver, from)
+}
+
+// delegatedVIPIDelivered injects the vIPI from vCPU "from" once the
+// monitor and guest handlers have run, or defers it to the next entry
+// if the guest exited (epoch changed) meanwhile.
+func (v *VCPU) delegatedVIPIDelivered(epoch uint64, from int) {
+	if v.stopped {
+		return
+	}
+	if !v.inGuest || v.epoch != epoch {
+		// The guest exited under us: deliver on its next entry so
+		// the interrupt is never lost.
+		v.pendingInj = append(v.pendingInj, guest.Event{Kind: guest.EvVIPI, From: from})
+		return
+	}
+	if v.deliverEvent(guest.Event{Kind: guest.EvVIPI, From: from}) {
+		v.advance()
+		return
+	}
+	v.resumeGuest()
 }

@@ -36,34 +36,21 @@ func (v *VCPU) advanceShared() {
 	case guest.ActCompute:
 		work := sim.Duration(float64(v.cur.Work) * v.encFactor())
 		v.hasCur = false
-		n.Kern.Submit(v.thread, "guest", work, func() { v.advanceShared() })
+		n.Kern.Submit(v.thread, "guest", work, v.advanceSharedFn)
 
 	case guest.ActIO:
 		req := v.cur.Req
 		v.hasCur = false
+		v.sharedReqs.PushBack(req)
 		if req.Dev == guest.SRIOVNet {
-			n.Kern.Submit(v.thread, "vf-doorbell", 200, func() {
-				v.vm.VMM.VF.Submit(v.idx, req)
-				if req.Sync {
-					v.waitIO = true
-				} else {
-					v.advanceShared()
-				}
-			})
+			n.Kern.Submit(v.thread, "vf-doorbell", 200, v.sharedVFDoneFn)
 			return
 		}
 		// virtio doorbell: same-core exit bouncing to the userspace VMM
 		// (one local user/kernel round trip), then the request lands on
 		// the VMM I/O thread.
 		v.countExit(ExitMMIO)
-		n.Kern.Submit(v.thread, "mmio-exit", p.KVMExitKernel+p.SharedMMIO, func() {
-			v.vm.VMM.Submit(v.idx, req)
-			if req.Sync {
-				v.waitIO = true
-			} else {
-				v.advanceShared()
-			}
-		})
+		n.Kern.Submit(v.thread, "mmio-exit", p.KVMExitKernel+p.SharedMMIO, v.sharedMMIODoneFn)
 
 	case guest.ActVIPI:
 		target := v.cur.Target
@@ -75,15 +62,8 @@ func (v *VCPU) advanceShared() {
 		// Sender's trap is handled by the in-kernel vGIC fast path on
 		// the same core (Table 3's 3.85 µs), then a physical IPI kicks
 		// the target core.
-		n.Kern.Submit(v.thread, "vipi-exit", p.SharedVGIC+150, func() {
-			if target >= 0 && target < len(v.vm.vcpus) {
-				tgt := v.vm.vcpus[target]
-				v.eng().After(n.Mach.IPILatency(), "vipi-wire", func() {
-					tgt.sharedInject(guest.Event{Kind: guest.EvVIPI, From: v.idx})
-				})
-			}
-			v.advanceShared()
-		})
+		v.sharedVIPIs.PushBack(target)
+		n.Kern.Submit(v.thread, "vipi-exit", p.SharedVGIC+150, v.sharedVIPIDoneFn)
 
 	case guest.ActWFI:
 		v.hasCur = false
@@ -97,6 +77,45 @@ func (v *VCPU) advanceShared() {
 	}
 }
 
+// sharedVFDone completes the SR-IOV doorbell write: the request goes to
+// the VF and the guest continues (or waits for a synchronous
+// completion).
+func (v *VCPU) sharedVFDone() {
+	req := v.sharedReqs.PopFront()
+	v.vm.VMM.VF.Submit(v.idx, req)
+	if req.Sync {
+		v.waitIO = true
+	} else {
+		v.advanceShared()
+	}
+}
+
+// sharedMMIODone completes a virtio doorbell exit: the request lands on
+// the VMM I/O thread.
+func (v *VCPU) sharedMMIODone() {
+	req := v.sharedReqs.PopFront()
+	v.vm.VMM.Submit(v.idx, req)
+	if req.Sync {
+		v.waitIO = true
+	} else {
+		v.advanceShared()
+	}
+}
+
+// sharedVIPIDone completes the sender's vGIC trap: the physical IPI
+// leaves for the target's core and the sender continues.
+func (v *VCPU) sharedVIPIDone() {
+	if target := v.sharedVIPIs.PopFront(); target >= 0 && target < len(v.vm.vcpus) {
+		v.after(v.node().Mach.IPILatency(), "vipi-wire", contSharedVIPIWire, target)
+	}
+	v.advanceShared()
+}
+
+// sharedVIPIArrived injects the vIPI from vCPU "from" into this guest.
+func (v *VCPU) sharedVIPIArrived(from int) {
+	v.sharedInject(guest.Event{Kind: guest.EvVIPI, From: from})
+}
+
 // sharedInject delivers an event to a shared-core guest: in-kernel vGIC
 // injection plus the guest's handler, charged on the vCPU thread.
 func (v *VCPU) sharedInject(ev guest.Event) {
@@ -104,11 +123,16 @@ func (v *VCPU) sharedInject(ev guest.Event) {
 		return
 	}
 	p := v.params()
-	v.node().Kern.Submit(v.thread, "inject", p.SharedVGIC+p.GuestIRQHandle, func() {
-		if v.deliverEvent(ev) {
-			v.advanceShared()
-		}
-	})
+	v.sharedEvs.PushBack(ev)
+	v.node().Kern.Submit(v.thread, "inject", p.SharedVGIC+p.GuestIRQHandle, v.sharedInjectFn)
+}
+
+// sharedInjectDone delivers the oldest injected event once its handler
+// cost has run on the vCPU thread.
+func (v *VCPU) sharedInjectDone() {
+	if v.deliverEvent(v.sharedEvs.PopFront()) {
+		v.advanceShared()
+	}
 }
 
 // onTickShared charges one timer tick on the shared path: the exit and
@@ -118,7 +142,7 @@ func (v *VCPU) sharedInject(ev guest.Event) {
 func (v *VCPU) onTickShared() {
 	n := v.node()
 	p := v.params()
-	n.Met.Counter(v.vm.name + ".ticks").Inc()
+	v.vm.count(&v.vm.met.ticks, ".ticks")
 	v.countExit(ExitTimer)
 
 	base := p.KVMExitKernel + p.SharedVGIC + p.GuestIRQHandle + p.HostNoise
@@ -136,11 +160,15 @@ func (v *VCPU) onTickShared() {
 	}
 	// vCPU not on a core right now (queued or in WFI): charge the
 	// handler as a work item, which also wakes an idle guest.
-	n.Kern.Submit(v.thread, "tick", base, func() {
-		v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
-		if v.idle {
-			v.idle = false
-			v.advanceShared()
-		}
-	})
+	n.Kern.Submit(v.thread, "tick", base, v.sharedTickFn)
+}
+
+// sharedTickDone delivers a tick charged as a work item, waking an idle
+// guest.
+func (v *VCPU) sharedTickDone() {
+	v.vm.prog.Deliver(v.idx, guest.Event{Kind: guest.EvTimer})
+	if v.idle {
+		v.idle = false
+		v.advanceShared()
+	}
 }

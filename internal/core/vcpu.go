@@ -1,6 +1,7 @@
 package core
 
 import (
+	"coregap/internal/fifo"
 	"coregap/internal/guest"
 	"coregap/internal/host"
 	"coregap/internal/hw"
@@ -53,6 +54,18 @@ func (r ExitReason) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// exitLabels are the static labels of the host's exit-handling work
+// items, one per reason.
+var exitLabels = [...]string{
+	ExitTimer:   "exit:timer",
+	ExitVIPI:    "exit:vipi",
+	ExitMgmtIRQ: "exit:mgmt-irq",
+	ExitMMIO:    "exit:mmio",
+	ExitMisc:    "exit:misc",
+	ExitKick:    "exit:kick",
+	ExitHalt:    "exit:halt",
 }
 
 // exitInfo is the record the monitor writes to shared memory on an exit.
@@ -115,6 +128,57 @@ type VCPU struct {
 	parked bool
 
 	src *sim.Source
+
+	// exit is the exit record in flight from exitToHost to finishExit.
+	// A vCPU has at most one: the guest re-enters only after the host
+	// finishes the previous exit.
+	exit exitInfo
+	// doorbell is the SR-IOV request whose doorbell-write compute slice
+	// is running (gapped); afterCompute = vfDoorbellFn sends it.
+	doorbell guest.IORequest
+	// Shared-path work items carrying per-item data push it here and
+	// pop it on completion. The vCPU thread runs its items strictly in
+	// submission order, so each completion pops its own entry.
+	sharedReqs  fifo.Ring[guest.IORequest] // vf-doorbell, mmio-exit
+	sharedVIPIs fifo.Ring[int]             // vipi-exit: target vCPU
+	sharedEvs   fifo.Ring[guest.Event]     // inject
+	// contFree recycles the monitor-local continuation records (cont.go).
+	contFree []*vcont
+
+	// Callbacks bound once per vCPU (see bind), so the exit → host →
+	// re-entry loop schedules no fresh closures.
+	guestDoneFn      func()
+	pickupFn         func()
+	ctxRestoreFn     func()
+	ctxSaveFn        func()
+	hostPollFn       func()
+	finishExitFn     func()
+	injectKickFn     func()
+	vfDoorbellFn     func()
+	advanceSharedFn  func()
+	sharedVFDoneFn   func()
+	sharedMMIODoneFn func()
+	sharedVIPIDoneFn func()
+	sharedInjectFn   func()
+	sharedTickFn     func()
+}
+
+// bind creates the vCPU's callbacks once, at construction.
+func (v *VCPU) bind() {
+	v.guestDoneFn = v.guestDone
+	v.pickupFn = v.pickup
+	v.ctxRestoreFn = v.ctxRestore
+	v.ctxSaveFn = v.ctxSave
+	v.hostPollFn = v.hostPollOnce
+	v.finishExitFn = v.finishExit
+	v.injectKickFn = v.injectKick
+	v.vfDoorbellFn = v.vfDoorbell
+	v.advanceSharedFn = v.advanceShared
+	v.sharedVFDoneFn = v.sharedVFDone
+	v.sharedMMIODoneFn = v.sharedMMIODone
+	v.sharedVIPIDoneFn = v.sharedVIPIDone
+	v.sharedInjectFn = v.sharedInjectDone
+	v.sharedTickFn = v.sharedTickDone
 }
 
 // Index reports the vCPU index.
@@ -127,7 +191,7 @@ func (v *VCPU) Halted() bool { return v.halted }
 func (v *VCPU) DedicatedCore() hw.CoreID { return v.dcore }
 
 func (v *VCPU) node() *Node      { return v.vm.node }
-func (v *VCPU) params() Params   { return v.vm.node.P }
+func (v *VCPU) params() *Params  { return &v.vm.node.P }
 func (v *VCPU) eng() *sim.Engine { return v.vm.node.Eng }
 
 func (v *VCPU) gapped() bool { return v.vm.node.Opts.Mode == Gapped }
@@ -145,11 +209,12 @@ func (v *VCPU) countExit(r ExitReason) {
 	n := v.node()
 	n.Eng.Count(cVCPUExit)
 	n.Eng.Trace().Emit(sim.TCExit, exitTraceName(r), int32(v.dcore), int64(v.idx))
-	n.Met.Counter(v.vm.name + ".exits.total").Inc()
+	m := &v.vm.met
+	v.vm.count(&m.exitsTotal, ".exits.total")
 	if r.InterruptRelated() {
-		n.Met.Counter(v.vm.name + ".exits.interrupt").Inc()
+		v.vm.count(&m.exitsInterrupt, ".exits.interrupt")
 	}
-	n.Met.Counter(v.vm.name + ".exits." + r.String()).Inc()
+	v.vm.count(&m.exits[r], ".exits."+r.String())
 }
 
 // startTimers arms the guest tick and the residual-exit generators.
@@ -162,20 +227,16 @@ func (v *VCPU) startTimers() {
 	p := v.params()
 	v.src = n.Eng.Source("vcpu." + v.thread.Name())
 
-	v.tick = sim.NewTicker(n.Eng, v.thread.Name()+":tick", p.GuestTick, v.onTick)
+	v.tick = sim.NewTicker(n.Eng, "tick", p.GuestTick, v.onTick)
 	// Stagger tick phases across vCPUs: real guests do not tick in
 	// lockstep, and a thundering herd of synchronized timer exits would
 	// distort the host-core queueing model.
 	phase := v.src.Duration(0, p.GuestTick-1)
-	n.Eng.After(phase, v.thread.Name()+":tick-phase", func() {
-		if !v.halted && !v.stopped {
-			v.tick.Start()
-		}
-	})
+	n.Eng.After(phase, "tick-phase", v.startTick)
 
 	if v.gapped() {
 		if p.MgmtExitRate > 0 {
-			v.mgmtTimer = sim.NewTimer(n.Eng, v.thread.Name()+":mgmt", func() { v.onResidual(ExitMgmtIRQ) })
+			v.mgmtTimer = sim.NewTimer(n.Eng, "mgmt", v.onMgmt)
 			v.mgmtTimer.Arm(v.src.Exp(rateToMean(p.MgmtExitRate)))
 		}
 		misc := p.MiscExitRateDeleg
@@ -183,9 +244,16 @@ func (v *VCPU) startTimers() {
 			misc = p.MiscExitRateNoDeleg
 		}
 		if misc > 0 {
-			v.miscTimer = sim.NewTimer(n.Eng, v.thread.Name()+":misc", func() { v.onResidual(ExitMisc) })
+			v.miscTimer = sim.NewTimer(n.Eng, "misc", v.onMisc)
 			v.miscTimer.Arm(v.src.Exp(rateToMean(misc)))
 		}
+	}
+}
+
+// startTick starts the guest tick at the end of its phase offset.
+func (v *VCPU) startTick() {
+	if !v.halted && !v.stopped {
+		v.tick.Start()
 	}
 }
 
@@ -246,7 +314,8 @@ func (v *VCPU) deliverEvent(ev guest.Event) bool {
 	v.node().Eng.Trace().Emit(sim.TCIRQ, "core.inject", int32(v.dcore), int64(ev.Kind))
 	if ev.Kind == guest.EvVIPI && v.idx < len(v.vm.vipiSentAt) {
 		if t := v.vm.vipiSentAt[v.idx]; t != 0 {
-			v.node().Met.Lat(v.vm.name+".vipi.latency", v.eng().Now(), v.eng().Now().Sub(t))
+			now := v.eng().Now()
+			v.vm.latency(&v.vm.met.vipiLatency, ".vipi.latency").Record(now, now.Sub(t))
 			v.vm.vipiSentAt[v.idx] = 0
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"coregap/internal/rmm"
 	"coregap/internal/rpc"
 	"coregap/internal/sim"
+	"coregap/internal/trace"
 	"coregap/internal/uarch"
 	"coregap/internal/vmm"
 )
@@ -37,6 +38,38 @@ type VM struct {
 
 	// suspended marks a host-initiated suspension in progress (§7).
 	suspended bool
+
+	met vmMetrics
+}
+
+// vmMetrics caches the VM's hot metric handles. Each is resolved on its
+// first use (the VM lives for one trial), so the metric set lists
+// exactly the metrics the run touched, as with by-name lookups.
+type vmMetrics struct {
+	exitsTotal, exitsInterrupt *trace.Counter
+	exits                      [ExitHalt + 1]*trace.Counter
+	ticks, ticksDelegated      *trace.Counter
+	vipiDelegated              *trace.Counter
+	runtorun, vipiLatency      *trace.Latency
+}
+
+// count increments the VM counter cached in *c, resolving it as
+// "<vm>"+suffix on first use.
+func (vm *VM) count(c **trace.Counter, suffix string) {
+	if *c == nil {
+		*c = vm.node.Met.Counter(vm.name + suffix)
+	}
+	(*c).Inc()
+}
+
+// latency returns the VM latency metric cached in *l, resolving it as
+// "<vm>"+suffix on first use.
+func (vm *VM) latency(l **trace.Latency, suffix string) *trace.Latency {
+	if *l == nil {
+		h := vm.node.Met.Latency(vm.name + suffix)
+		*l = &h
+	}
+	return *l
 }
 
 // assignment is the planner decision realized on the node.
@@ -72,10 +105,6 @@ func (vm *VM) GuestCores() []hw.CoreID {
 		return nil
 	}
 	return vm.assign.guestCores
-}
-
-func (vm *VM) counter(name string) {
-	vm.node.Met.Counter(vm.name + "." + name).Inc()
 }
 
 // NewVM builds a guest running prog on vcpus virtual CPUs and starts it.
@@ -256,6 +285,7 @@ func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, err
 			pendingRebind: hw.NoCore,
 			mb:            rpc.NewMailbox(n.Eng, fmt.Sprintf("%s/vcpu%d", vm.name, i)),
 		}
+		v.bind()
 		// vCPU threads run FIFO so they preempt VMM threads when woken
 		// (§4.3); the busy-wait ablation uses yield-polling normal
 		// threads as Quarantine does — FIFO pollers would starve the
@@ -292,10 +322,7 @@ func (n *Node) finishGapped(vm *VM, vcpus int, newREC func(i int) (*rmm.REC, err
 	// blocking on IPI-driven wakeups.
 	if n.Opts.BusyWaitRPC {
 		for _, v := range vm.vcpus {
-			v := v
-			n.Kern.SetIdlePoll(v.thread, func() (sim.Duration, func()) {
-				return n.P.BusyPollSlice, func() { v.hostPollOnce() }
-			})
+			n.Kern.SetIdlePoll(v.thread, v.busyPoll)
 			// Seed the polling loop.
 			n.Kern.Submit(v.thread, "poll-seed", 1, nil)
 		}
@@ -309,6 +336,7 @@ func (n *Node) setupShared(vm *VM, vcpus int) {
 	vm.VMM.SetInject(vm.injectFromHost)
 	for i := 0; i < vcpus; i++ {
 		v := &VCPU{vm: vm, idx: i, dcore: hw.NoCore, pendingRebind: hw.NoCore}
+		v.bind()
 		v.thread = n.Kern.NewThread(fmt.Sprintf("%s/vcpu%d", vm.name, i),
 			host.ClassNormal, hw.NoCore)
 		v.thread.SetDomain(vm.domain, n.P.GuestFootprint)
@@ -362,26 +390,33 @@ func (vm *VM) injectFromHost(vcpu int, ev guest.Event) {
 	v.sharedInject(ev)
 }
 
+// wakeup is one host core's wake-up thread with its scan body bound
+// once.
+type wakeup struct {
+	t    *host.Thread
+	scan func()
+}
+
 // wakeupThreadFor returns (creating on first use) the wake-up thread for
 // a host core, and registers the exit-notification IPI handler that
 // activates it (Fig. 4 steps 1-2).
 func (n *Node) wakeupThreadFor(core hw.CoreID) *host.Thread {
 	if n.wakeups == nil {
-		n.wakeups = make(map[hw.CoreID]*host.Thread)
+		n.wakeups = make(map[hw.CoreID]*wakeup)
 		n.Kern.RegisterIRQ(hw.IPIGuestExit, func(c hw.CoreID) {
-			if t := n.wakeups[c]; t != nil {
+			if w := n.wakeups[c]; w != nil {
 				// Activation pays the wake-up dispatch plus the scan.
-				n.Kern.Submit(t, "scan", n.P.SchedWake+n.P.WakeupScan,
-					func() { n.scanMailboxes(c) })
+				n.Kern.Submit(w.t, "scan", n.P.SchedWake+n.P.WakeupScan, w.scan)
 			}
 		})
 	}
-	if t, ok := n.wakeups[core]; ok {
-		return t
+	if w, ok := n.wakeups[core]; ok {
+		return w.t
 	}
-	t := n.Kern.NewThread(fmt.Sprintf("wakeup%d", core), host.ClassFIFO, core)
-	n.wakeups[core] = t
-	return t
+	w := &wakeup{t: n.Kern.NewThread(fmt.Sprintf("wakeup%d", core), host.ClassFIFO, core)}
+	w.scan = func() { n.scanMailboxes(core) }
+	n.wakeups[core] = w
+	return w.t
 }
 
 // scanMailboxes is the wake-up thread body: poll every RPC channel homed

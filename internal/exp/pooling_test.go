@@ -126,16 +126,23 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestTrialAllocs is the allocation gate of the pooling work. The
-// pre-pooling profile showed trial construction — the 32 MiB granule
-// table above all — was ~79% of every byte the suite allocated, so the
-// gate is on bytes: a steady-state pooled trial must allocate at least
-// 5x fewer bytes than the fresh-construction path (in practice the
-// reduction is ~700x; 5x is the regression floor from the issue). The
-// allocation *count* must also drop — the substrate's several hundred
-// construction allocations disappear — but the surviving per-trial
-// object graph (kernel, monitor, VMs, event closures) is rebuilt by
-// design, so the count gate is directional, not 5x.
+// pooledTrialBytesCeiling bounds the bytes a steady-state pooled trial
+// of TestTrialAllocs' scenario may allocate: its value before the
+// granule table became lazy, when the gate was a 5x pooled-vs-fresh
+// ratio.
+const pooledTrialBytesCeiling = 79_908
+
+// TestTrialAllocs is the allocation gate of the pooling work: a
+// steady-state pooled trial allocates only its thin per-trial stack.
+// The gate used to be a ratio — pooled at least 5x fewer bytes than
+// fresh — because fresh construction paid for a 32-48 MiB eagerly
+// allocated granule table. The table is now lazy, fresh trials are
+// ~200 KB, and the ratio no longer measures pooling; the gate is an
+// absolute ceiling on pooled bytes instead. The allocation *count* must
+// still drop below fresh — the substrate's construction allocations
+// disappear — but the surviving per-trial object graph (kernel,
+// monitor, VMs, bound callbacks) is rebuilt by design, so the count
+// gate is directional.
 func TestTrialAllocs(t *testing.T) {
 	spec := ScenarioSpec{ID: "alloc-gate", Config: ConfigGapped, Cores: 4, Seed: 11,
 		Workload: Workload{Kind: WLIPIBench, Rounds: 32}}
@@ -170,8 +177,11 @@ func TestTrialAllocs(t *testing.T) {
 	})
 	t.Logf("bytes/trial: fresh=%.0f pooled=%.0f (%.0fx); allocs/trial: fresh=%.0f pooled=%.0f (%.1fx)",
 		freshBytes, pooledBytes, freshBytes/pooledBytes, fresh, pooled, fresh/pooled)
-	if pooledBytes*5 > freshBytes {
-		t.Errorf("pooled trial allocates %.0f bytes vs %.0f fresh; want >= 5x reduction", pooledBytes, freshBytes)
+	if pooledBytes > pooledTrialBytesCeiling {
+		t.Errorf("pooled trial allocates %.0f bytes; want <= %d", pooledBytes, pooledTrialBytesCeiling)
+	}
+	if pooledBytes >= freshBytes {
+		t.Errorf("pooled trial allocates %.0f bytes, no fewer than fresh %.0f", pooledBytes, freshBytes)
 	}
 	if pooled >= fresh {
 		t.Errorf("pooled trial allocation count %.0f did not drop below fresh %.0f", pooled, fresh)

@@ -23,15 +23,15 @@ func SnapshotForking() bool { return snapshotForking }
 // TrialContext is one worker's warmed simulation substrate, reused
 // across every trial that worker executes. It wraps a core.Context —
 // engine (event heap, node free list, named sources), machine (per-core
-// microarchitectural buffers, the multi-megabyte granule table, shared
+// microarchitectural buffers, the granule table's touched chunks, shared
 // socket state), interrupt distributor and metric set — and rewinds it
 // per trial instead of rebuilding the object graph.
 //
-// Construction of that graph, not simulation, dominated the parallel
-// suite before pooling (the granule table alone was ~79% of all bytes
-// allocated); with one TrialContext per worker the steady-state trial
-// allocates only its thin per-trial stack (kernel, monitor, VMs,
-// result maps).
+// With one TrialContext per worker the steady-state trial allocates
+// only its thin per-trial stack (kernel, monitor, VMs, result maps).
+// The granule table allocates its chunks on first mutation, so a fresh
+// substrate costs a few hundred KiB; pooling saves construction work
+// more than bytes.
 //
 // A TrialContext is not safe for concurrent use; the Runner hands each
 // worker goroutine its own. Determinism is unaffected: every Reset

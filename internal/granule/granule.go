@@ -92,16 +92,28 @@ type granule struct {
 	dirty bool // held secret contents since last scrub
 }
 
+// chunkGranules is the number of granules per backing chunk (12 KiB of
+// table state covering 4 MiB of physical memory).
+const chunkGranules = 1 << 10
+
+type chunk [chunkGranules]granule
+
 // Table is the granule protection table for one machine's physical memory.
+//
+// The table covers whole-machine physical memory (millions of granules),
+// but a run mutates a small bump-allocated prefix plus a few stray
+// addresses. So the table is backed by fixed-size chunks allocated on
+// first mutation: a granule in a chunk never written reads as
+// Undelegated, and building a table costs one pointer per chunk instead
+// of the whole granule array.
 type Table struct {
-	granules []granule
-	counts   [6]uint64
-	// hi is one past the highest granule index ever mutated. The table
-	// covers whole-machine physical memory (millions of granules), but a
-	// single run touches a tiny bump-allocated prefix plus a few stray
-	// addresses; Reset scrubs only [0, hi) instead of re-zeroing — or,
-	// worse, reallocating — the entire backing array.
-	hi uint64
+	n      uint64   // granule count
+	chunks []*chunk // nil until a granule in the chunk is mutated
+	counts [6]uint64
+	// touched lists the chunks mutated since the last Reset/Restore, in
+	// first-touch order; Reset scrubs only these and keeps them
+	// allocated for the next run.
+	touched []uint32
 	// eng, when bound, receives counters and trace events for state
 	// transitions. The table stays usable unbound (tests build bare
 	// tables); note() is then a nil check.
@@ -111,49 +123,56 @@ type Table struct {
 // NewTable returns a table covering size bytes of physical memory, all
 // initially undelegated (host-owned).
 func NewTable(size uint64) *Table {
-	n := size / Size
-	t := &Table{granules: make([]granule, n)}
-	t.counts[Undelegated] = n
+	t := &Table{}
+	t.Reset(size)
 	return t
 }
 
 // Reset returns every granule to Undelegated for a table covering size
-// bytes, reusing the backing array when the size is unchanged (the
-// common pooled-context case) so a reset table is observationally
-// identical to NewTable(size) without the multi-megabyte allocation.
+// bytes. Chunks mutated since the last reset are scrubbed and kept when
+// the size is unchanged (the common pooled-context case), so a reset
+// table is observationally identical to NewTable(size) without
+// reallocating.
 func (t *Table) Reset(size uint64) {
 	n := size / Size
-	if n != uint64(len(t.granules)) {
-		t.granules = make([]granule, n)
-	} else if t.hi > 0 {
-		clear(t.granules[:t.hi])
+	if n != t.n || t.chunks == nil {
+		t.n = n
+		t.chunks = make([]*chunk, (n+chunkGranules-1)/chunkGranules)
+	} else {
+		for _, c := range t.touched {
+			clear(t.chunks[c][:])
+		}
 	}
-	t.hi = 0
+	t.touched = t.touched[:0]
 	t.counts = [6]uint64{}
 	t.counts[Undelegated] = n
 }
 
-// Image is a copy of a table's mutated prefix — everything a boot
-// sequence changed — taken by Snapshot and written back by Restore. It
-// is immutable once taken: both directions copy, so a cached image stays
-// valid while the live table keeps mutating.
+// Image is a copy of every chunk a table's mutations touched —
+// everything a boot sequence changed — taken by Snapshot and written
+// back by Restore. It is immutable once taken: both directions copy, so
+// a cached image stays valid while the live table keeps mutating.
 type Image struct {
-	granules []granule
-	counts   [6]uint64
-	hi       uint64
-	size     uint64 // granule count of the source table
+	index  []uint32 // chunk indexes, parallel to chunks
+	chunks []chunk
+	counts [6]uint64
+	size   uint64 // granule count of the source table
 }
 
-// Snapshot copies the table's mutated prefix. Restoring the image later
+// Snapshot copies the table's touched chunks. Restoring the image later
 // reproduces today's state exactly, without replaying the delegation
 // protocol that built it (the boot-fork fast path).
 func (t *Table) Snapshot() *Image {
-	return &Image{
-		granules: append([]granule(nil), t.granules[:t.hi]...),
-		counts:   t.counts,
-		hi:       t.hi,
-		size:     uint64(len(t.granules)),
+	img := &Image{
+		index:  append([]uint32(nil), t.touched...),
+		chunks: make([]chunk, len(t.touched)),
+		counts: t.counts,
+		size:   t.n,
 	}
+	for i, c := range t.touched {
+		img.chunks[i] = *t.chunks[c]
+	}
+	return img
 }
 
 // Restore overwrites the table's state with the image. The table must
@@ -162,16 +181,22 @@ func (t *Table) Snapshot() *Image {
 // callers replaying a boot account for the skipped transitions
 // themselves.
 func (t *Table) Restore(img *Image) error {
-	if uint64(len(t.granules)) != img.size {
+	if t.n != img.size {
 		return fmt.Errorf("granule: restore into table of %d granules, image from %d",
-			len(t.granules), img.size)
+			t.n, img.size)
 	}
-	if t.hi > img.hi {
-		clear(t.granules[img.hi:t.hi])
+	for _, c := range t.touched {
+		clear(t.chunks[c][:])
 	}
-	copy(t.granules, img.granules)
+	t.touched = t.touched[:0]
+	for i, c := range img.index {
+		if t.chunks[c] == nil {
+			t.chunks[c] = new(chunk)
+		}
+		*t.chunks[c] = img.chunks[i]
+		t.touched = append(t.touched, c)
+	}
 	t.counts = img.counts
-	t.hi = img.hi
 	return nil
 }
 
@@ -192,34 +217,68 @@ func (t *Table) note(id sim.CounterID, name string, pa PA) {
 	t.eng.Trace().Emit(sim.TCGranule, name, sim.LaneGlobal, int64(pa))
 }
 
-// mark records that the granule at pa was mutated, widening the range
-// Reset must scrub. Callers pass an already-validated pa.
-func (t *Table) mark(pa PA) {
-	if idx := pa.Index(); idx >= t.hi {
-		t.hi = idx + 1
-	}
-}
-
 // Granules reports the total granule count.
-func (t *Table) Granules() uint64 { return uint64(len(t.granules)) }
+func (t *Table) Granules() uint64 { return t.n }
 
 // CountIn reports how many granules are in state s.
 func (t *Table) CountIn(s State) uint64 { return t.counts[s] }
 
-func (t *Table) lookup(pa PA) (*granule, error) {
+func (t *Table) check(pa PA) error {
 	if !pa.Aligned() {
-		return nil, ErrUnaligned
+		return ErrUnaligned
+	}
+	if pa.Index() >= t.n {
+		return ErrOutOfRange
+	}
+	return nil
+}
+
+// peek reads the granule at pa; granules of untouched chunks read as
+// the zero (Undelegated, unowned, clean) granule.
+func (t *Table) peek(pa PA) (granule, error) {
+	if err := t.check(pa); err != nil {
+		return granule{}, err
 	}
 	idx := pa.Index()
-	if idx >= uint64(len(t.granules)) {
-		return nil, ErrOutOfRange
+	c := t.chunks[idx/chunkGranules]
+	if c == nil {
+		return granule{}, nil
 	}
-	return &t.granules[idx], nil
+	return c[idx%chunkGranules], nil
+}
+
+// mut returns the granule at an already-checked pa for mutation,
+// allocating its chunk on first touch. Operations validate through peek
+// first, so a rejected operation never allocates or touches a chunk.
+func (t *Table) mut(pa PA) *granule {
+	idx := pa.Index()
+	ci := idx / chunkGranules
+	c := t.chunks[ci]
+	if c == nil {
+		c = new(chunk)
+		t.chunks[ci] = c
+	}
+	if !t.isTouched(uint32(ci)) {
+		t.touched = append(t.touched, uint32(ci))
+	}
+	return &c[idx%chunkGranules]
+}
+
+// isTouched reports whether chunk ci is on the touched list. The list
+// holds a handful of chunks (the allocation prefix plus stray
+// addresses), so a scan from the most recent entry is cheapest.
+func (t *Table) isTouched(ci uint32) bool {
+	for i := len(t.touched) - 1; i >= 0; i-- {
+		if t.touched[i] == ci {
+			return true
+		}
+	}
+	return false
 }
 
 // State reports the state of the granule at pa.
 func (t *Table) State(pa PA) (State, error) {
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return Undelegated, err
 	}
@@ -228,23 +287,27 @@ func (t *Table) State(pa PA) (State, error) {
 
 // Owner reports the realm owning the granule at pa (0 when none).
 func (t *Table) Owner(pa PA) (RealmID, error) {
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return 0, err
 	}
 	return g.owner, nil
 }
 
-func (t *Table) transition(g *granule, to State) {
-	t.counts[g.state]--
+// transition moves the granule at pa from state from to state to and
+// returns it for any further field updates.
+func (t *Table) transition(pa PA, from, to State) *granule {
+	g := t.mut(pa)
+	t.counts[from]--
 	g.state = to
 	t.counts[to]++
+	return g
 }
 
 // Delegate moves an undelegated granule into realm world
 // (RMI_GRANULE_DELEGATE). The granule is scrubbed on entry.
 func (t *Table) Delegate(pa PA) error {
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return err
 	}
@@ -254,9 +317,7 @@ func (t *Table) Delegate(pa PA) error {
 	if g.state != Undelegated {
 		return ErrBadState
 	}
-	t.transition(g, Delegated)
-	g.dirty = false
-	t.mark(pa)
+	t.transition(pa, g.state, Delegated).dirty = false
 	t.note(cDelegate, "granule.delegate", pa)
 	return nil
 }
@@ -266,7 +327,7 @@ func (t *Table) Delegate(pa PA) error {
 // been scrubbed first; returning secret-bearing memory to the host would
 // be an architectural leak.
 func (t *Table) Undelegate(pa PA) error {
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return err
 	}
@@ -276,8 +337,7 @@ func (t *Table) Undelegate(pa PA) error {
 	if g.dirty {
 		return ErrNotScrubbed
 	}
-	t.transition(g, Undelegated)
-	t.mark(pa)
+	t.transition(pa, g.state, Undelegated)
 	t.note(cUndelegate, "granule.undelegate", pa)
 	return nil
 }
@@ -288,17 +348,16 @@ func (t *Table) Claim(pa PA, to State, owner RealmID) error {
 	if to != RD && to != REC && to != RTT && to != Data {
 		return ErrBadState
 	}
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return err
 	}
 	if g.state != Delegated {
 		return ErrBadState
 	}
-	t.transition(g, to)
-	g.owner = owner
-	g.dirty = true
-	t.mark(pa)
+	m := t.transition(pa, g.state, to)
+	m.owner = owner
+	m.dirty = true
 	t.note(cClaim, "granule.claim", pa)
 	return nil
 }
@@ -306,7 +365,7 @@ func (t *Table) Claim(pa PA, to State, owner RealmID) error {
 // Release scrubs a realm-internal granule back to Delegated. Only the
 // owning realm's teardown path may release it.
 func (t *Table) Release(pa PA, owner RealmID) error {
-	g, err := t.lookup(pa)
+	g, err := t.peek(pa)
 	if err != nil {
 		return err
 	}
@@ -318,10 +377,9 @@ func (t *Table) Release(pa PA, owner RealmID) error {
 	if g.owner != owner {
 		return ErrWrongOwner
 	}
-	t.transition(g, Delegated)
-	g.owner = 0
-	g.dirty = false // release implies scrub
-	t.mark(pa)
+	m := t.transition(pa, g.state, Delegated)
+	m.owner = 0
+	m.dirty = false // release implies scrub
 	t.note(cRelease, "granule.release", pa)
 	return nil
 }
@@ -330,7 +388,7 @@ func (t *Table) Release(pa PA, owner RealmID) error {
 // This is the granule protection check performed (by hardware) on every
 // host access; a false return models an instruction-level fault.
 func (t *Table) HostAccessible(pa PA) bool {
-	g, err := t.lookup(PA(uint64(pa) / Size * Size))
+	g, err := t.peek(PA(uint64(pa) / Size * Size))
 	if err != nil {
 		return false
 	}
@@ -341,7 +399,7 @@ func (t *Table) HostAccessible(pa PA) bool {
 // stage-2 tables (the granule must be realm-owned by r, or shared
 // normal-world memory which the architecture maps as untrusted-shared).
 func (t *Table) RealmAccessible(pa PA, r RealmID) bool {
-	g, err := t.lookup(PA(uint64(pa) / Size * Size))
+	g, err := t.peek(PA(uint64(pa) / Size * Size))
 	if err != nil {
 		return false
 	}

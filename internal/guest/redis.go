@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 
+	"coregap/internal/fifo"
 	"coregap/internal/sim"
 )
 
@@ -61,7 +62,7 @@ func (o RedisOp) ReplyBytes() int {
 // redis-benchmark client model lives with the NIC.
 type Redis struct {
 	dev     DeviceClass
-	pending []Event
+	pending fifo.Ring[Event]
 	served  uint64
 	// replying holds the op whose reply must be sent after service;
 	// pendingTagForReply carries the request tag into the reply so the
@@ -93,11 +94,10 @@ func (r *Redis) Next(vcpu int) Action {
 			Tag: r.pendingTagForReply,
 		}}
 	}
-	if len(r.pending) == 0 {
+	if r.pending.Len() == 0 {
 		return WFI()
 	}
-	ev := r.pending[0]
-	r.pending = r.pending[1:]
+	ev := r.pending.PopFront()
 	r.replying = RedisOp(ev.Tag >> 24)
 	r.pendingTagForReply = ev.Tag
 	r.inService = true
@@ -108,7 +108,7 @@ func (r *Redis) Next(vcpu int) Action {
 // Deliver implements Program.
 func (r *Redis) Deliver(vcpu int, ev Event) {
 	if ev.Kind == EvPacket {
-		r.pending = append(r.pending, ev)
+		r.pending.PushBack(ev)
 	}
 }
 
@@ -116,7 +116,7 @@ func (r *Redis) Deliver(vcpu int, ev Event) {
 func (r *Redis) Served() uint64 { return r.served }
 
 // Backlog reports queued, unserved requests.
-func (r *Redis) Backlog() int { return len(r.pending) }
+func (r *Redis) Backlog() int { return r.pending.Len() }
 
 // EncodeOpTag packs an operation and a client id into an event tag. The
 // client id occupies the low 24 bits; an out-of-range id would silently

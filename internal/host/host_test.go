@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"testing"
 
 	"coregap/internal/gic"
@@ -224,6 +225,60 @@ func TestKillDropsWork(t *testing.T) {
 	eng.Run()
 	if ran {
 		t.Fatal("dead thread ran work")
+	}
+}
+
+// TestKillChargesPartialSlice: killing a running thread charges the
+// slice it ran so far, as preemption, hotplug and IRQ steals do — also
+// when the kill lands during an IRQ steal, whose preemption already
+// charged the slice up to the steal.
+func TestKillChargesPartialSlice(t *testing.T) {
+	eng, _, k := newKernel(t, 1)
+	th := k.NewThread("victim", ClassNormal, 0)
+	k.Submit(th, "j", 10*sim.Millisecond, nil)
+	eng.After(3*sim.Millisecond, "kill", func() { k.Kill(th) })
+	eng.Run()
+	if got := th.CPUTime(); got != 3*sim.Millisecond {
+		t.Fatalf("killed at 3ms mid-slice: CPUTime %v, want 3ms", got)
+	}
+
+	eng, _, k = newKernel(t, 1)
+	th = k.NewThread("victim", ClassNormal, 0)
+	k.Submit(th, "j", 10*sim.Millisecond, nil)
+	eng.After(2*sim.Millisecond, "steal", func() { k.StealCPU(0, sim.Millisecond, nil) })
+	eng.After(2500*sim.Microsecond, "kill", func() { k.Kill(th) })
+	eng.Run()
+	if got := th.CPUTime(); got != 2*sim.Millisecond {
+		t.Fatalf("killed during an IRQ steal: CPUTime %v, want the 2ms before the steal", got)
+	}
+	if k.Running(0) != nil || k.CoreQueueLen(0) != 0 {
+		t.Fatalf("core not idle after kill: running %v, queue %d", k.Running(0), k.CoreQueueLen(0))
+	}
+}
+
+// TestKillRemovesQueuedThread: a Runnable thread killed in the middle of
+// a run queue leaves the queue, and the threads around it keep their
+// order.
+func TestKillRemovesQueuedThread(t *testing.T) {
+	eng, _, k := newKernel(t, 1)
+	var order []string
+	var ths []*Thread
+	for _, name := range []string{"a", "b", "c", "d"} {
+		th := k.NewThread(name, ClassFIFO, 0)
+		ths = append(ths, th)
+		k.Submit(th, "j", sim.Millisecond, func() { order = append(order, name) })
+	}
+	// a runs; b, c, d wait in the FIFO queue.
+	if k.CoreQueueLen(0) != 4 || ths[2].State() != Runnable {
+		t.Fatalf("queue %d, c %v", k.CoreQueueLen(0), ths[2].State())
+	}
+	k.Kill(ths[2])
+	if k.CoreQueueLen(0) != 3 {
+		t.Fatalf("queue %d after killing a queued thread, want 3", k.CoreQueueLen(0))
+	}
+	eng.Run()
+	if got := fmt.Sprint(order); got != "[a b d]" {
+		t.Fatalf("completion order %s, want [a b d]", got)
 	}
 }
 

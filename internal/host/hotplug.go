@@ -2,7 +2,6 @@ package host
 
 import (
 	"errors"
-	"fmt"
 
 	"coregap/internal/hw"
 	"coregap/internal/sim"
@@ -31,8 +30,8 @@ const HotplugCost = 2 * sim.Millisecond
 //
 // With a nil handoff the core simply goes Offline (stock Linux).
 func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
-	cs, ok := k.cores[id]
-	if !ok {
+	cs := k.sched(id)
+	if cs == nil {
 		return ErrUnmanagedCore
 	}
 	if cs.offline {
@@ -63,15 +62,17 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 		t.state = Runnable
 		displaced = append(displaced, t)
 	}
-	displaced = append(displaced, cs.fifoQ...)
-	displaced = append(displaced, cs.normQ...)
-	cs.fifoQ = nil
-	cs.normQ = nil
+	for cs.fifoQ.Len() > 0 {
+		displaced = append(displaced, cs.fifoQ.PopFront())
+	}
+	for cs.normQ.Len() > 0 {
+		displaced = append(displaced, cs.normQ.PopFront())
+	}
 
 	// Retarget device interrupts to the lowest-numbered online core.
 	if k.dist != nil {
 		for _, c := range k.mach.Cores() {
-			if s, ok := k.cores[c.ID()]; ok && !s.offline {
+			if s := k.sched(c.ID()); s != nil && !s.offline {
 				k.dist.RetargetAll(id, c.ID())
 				break
 			}
@@ -90,7 +91,7 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 
 	// The shutdown procedure itself takes time; the final action is
 	// either halting the core or handing it to the monitor.
-	k.eng.After(HotplugCost, fmt.Sprintf("hotplug-off%d", id), func() {
+	k.eng.After(HotplugCost, "hotplug-off", func() {
 		if handoff != nil {
 			k.mach.SetPower(id, hw.DedicatedRealm)
 			handoff()
@@ -104,8 +105,8 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 // OnlineCore brings a core back under host scheduler control (after the
 // monitor returns it, or after a plain hotplug-on).
 func (k *Kernel) OnlineCore(id hw.CoreID) error {
-	cs, ok := k.cores[id]
-	if !ok {
+	cs := k.sched(id)
+	if cs == nil {
 		return ErrUnmanagedCore
 	}
 	if !cs.offline {
@@ -116,7 +117,7 @@ func (k *Kernel) OnlineCore(id hw.CoreID) error {
 	k.eng.Trace().Emit(sim.TCEngine, "host.hotplug_online", int32(id), 0)
 	k.mach.SetPower(id, hw.Online)
 	// The host owns the core's interrupt delivery again.
-	k.mach.Core(id).SetIRQHandler(func(from hw.CoreID, irq hw.IRQ) { k.handleIRQ(id, from, irq) })
+	k.mach.Core(id).SetIRQHandler(cs.irqEntry)
 	if k.met != nil {
 		k.met.Counter("host.hotplug.online").Inc()
 	}
@@ -137,6 +138,6 @@ func (k *Kernel) OnlineCount() int {
 
 // IsOffline reports whether the kernel considers the core offline.
 func (k *Kernel) IsOffline(id hw.CoreID) bool {
-	cs, ok := k.cores[id]
-	return ok && cs.offline
+	cs := k.sched(id)
+	return cs != nil && cs.offline
 }

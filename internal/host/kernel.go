@@ -2,8 +2,8 @@ package host
 
 import (
 	"errors"
-	"fmt"
 
+	"coregap/internal/fifo"
 	"coregap/internal/gic"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
@@ -31,11 +31,17 @@ type Kernel struct {
 	dist *gic.Distributor
 	met  *trace.Set
 
-	cores   map[hw.CoreID]*coreSched
+	// cores is indexed by core ID; every machine core is adopted at boot.
+	cores   []*coreSched
 	quantum sim.Duration
 
 	irqHandlers map[hw.IRQ]func(core hw.CoreID)
 	irqCost     sim.Duration
+	// irqs is the host.irqs metric, resolved on the first interrupt so
+	// a kernel that never takes one leaves the metric set untouched.
+	irqs *trace.Counter
+	// steals is the free list of IRQ-context work records (irq.go).
+	steals []*irqWork
 
 	// hostFootprint is how much per-core microarchitectural state a
 	// scheduled host thread touches — the interference that cools guest
@@ -44,15 +50,23 @@ type Kernel struct {
 }
 
 type coreSched struct {
+	k       *Kernel
 	id      hw.CoreID
 	cur     *Thread
-	fifoQ   []*Thread
-	normQ   []*Thread
+	fifoQ   fifo.Ring[*Thread]
+	normQ   fifo.Ring[*Thread]
 	quantum *sim.Timer
 	// stealing marks an in-progress IRQ steal: the executor belongs to
-	// the IRQ path until it completes.
+	// the IRQ path until it completes. stolen is the thread the steal
+	// interrupted (nil when the core was idle).
 	stealing bool
+	stolen   *Thread
 	offline  bool
+
+	// Callbacks bound once per core: slice completion and the host's
+	// interrupt entry.
+	sliceDone func()
+	irqEntry  hw.IRQHandler
 }
 
 // NewKernel boots the host kernel on all of the machine's cores.
@@ -62,7 +76,7 @@ func NewKernel(mach *hw.Machine, dist *gic.Distributor, met *trace.Set) *Kernel 
 		mach:          mach,
 		dist:          dist,
 		met:           met,
-		cores:         make(map[hw.CoreID]*coreSched),
+		cores:         make([]*coreSched, mach.NumCores()),
 		quantum:       DefaultQuantum,
 		irqHandlers:   make(map[hw.IRQ]func(hw.CoreID)),
 		irqCost:       600 * sim.Nanosecond,
@@ -75,13 +89,20 @@ func NewKernel(mach *hw.Machine, dist *gic.Distributor, met *trace.Set) *Kernel 
 }
 
 func (k *Kernel) adoptCore(id hw.CoreID) {
-	cs := &coreSched{id: id}
-	cs.quantum = sim.NewTimer(k.eng, fmt.Sprintf("quantum%d", id), func() {
-		k.quantumExpired(cs)
-	})
+	cs := &coreSched{k: k, id: id}
+	cs.sliceDone = cs.completeSlice
+	cs.irqEntry = cs.handleIRQ
+	cs.quantum = sim.NewTimer(k.eng, "quantum", cs.quantumExpired)
 	k.cores[id] = cs
-	core := k.mach.Core(id)
-	core.SetIRQHandler(func(from hw.CoreID, irq hw.IRQ) { k.handleIRQ(id, from, irq) })
+	k.mach.Core(id).SetIRQHandler(cs.irqEntry)
+}
+
+// sched returns the scheduler state of a managed core (nil otherwise).
+func (k *Kernel) sched(id hw.CoreID) *coreSched {
+	if id < 0 || int(id) >= len(k.cores) {
+		return nil
+	}
+	return k.cores[id]
 }
 
 // Engine reports the simulation engine.
@@ -111,13 +132,16 @@ func (k *Kernel) SetIdlePoll(t *Thread, poll func() (sim.Duration, func())) {
 	t.idlePoll = poll
 }
 
-// Submit queues a work item on t, waking it if blocked.
+// Submit queues a work item on t, waking it if blocked. The label names
+// the kind of work and labels the executor slice that runs it, so it
+// must be a static string; the thread is the identity. Hot callers pass
+// a callback bound once, not a fresh closure per item.
 func (k *Kernel) Submit(t *Thread, label string, work sim.Duration, fn func()) {
 	if t.state == Dead {
 		return
 	}
 	k.eng.Count(cSubmits)
-	t.inbox = append(t.inbox, workItem{label: label, work: work, fn: fn})
+	t.inbox.PushBack(workItem{label: label, work: work, fn: fn})
 	if t.state == Blocked {
 		k.wake(t)
 	}
@@ -129,30 +153,30 @@ func (k *Kernel) Kill(t *Thread) {
 	case Running:
 		cs := k.cores[t.core]
 		k.mach.Core(t.core).Exec.Preempt()
+		if !cs.stealing {
+			// Charge the partial slice. During an IRQ steal the slice
+			// was already charged when the steal preempted it.
+			t.cpuTime += k.eng.Now().Sub(t.sliceStart)
+		}
 		cs.quantum.Disarm()
 		cs.cur = nil
 		t.state = Dead
 		k.dispatch(cs)
 	case Runnable:
 		cs := k.cores[t.core]
-		cs.fifoQ = removeThread(cs.fifoQ, t)
-		cs.normQ = removeThread(cs.normQ, t)
+		removeThread(&cs.fifoQ, t)
+		removeThread(&cs.normQ, t)
 		t.state = Dead
 	default:
 		t.state = Dead
 	}
-	t.inbox = nil
-	t.cur = nil
+	t.inbox.Clear()
+	t.cur = workItem{}
+	t.hasCur = false
 }
 
-func removeThread(q []*Thread, t *Thread) []*Thread {
-	out := q[:0]
-	for _, x := range q {
-		if x != t {
-			out = append(out, x)
-		}
-	}
-	return out
+func removeThread(q *fifo.Ring[*Thread], t *Thread) {
+	q.DeleteFunc(func(x *Thread) bool { return x == t })
 }
 
 // pickCore selects a core for a waking unpinned thread: fewest queued
@@ -160,7 +184,7 @@ func removeThread(q []*Thread, t *Thread) []*Thread {
 // balancer.
 func (k *Kernel) pickCore(t *Thread) (hw.CoreID, error) {
 	if t.pin != hw.NoCore {
-		if cs, ok := k.cores[t.pin]; ok && !cs.offline {
+		if cs := k.sched(t.pin); cs != nil && !cs.offline {
 			return t.pin, nil
 		}
 		// Affinity broken by hotplug: fall through to any core, as
@@ -169,11 +193,11 @@ func (k *Kernel) pickCore(t *Thread) (hw.CoreID, error) {
 	best := hw.NoCore
 	bestLoad := 0
 	for _, c := range k.mach.Cores() {
-		cs, ok := k.cores[c.ID()]
-		if !ok || cs.offline {
+		cs := k.sched(c.ID())
+		if cs == nil || cs.offline {
 			continue
 		}
-		load := len(cs.fifoQ) + len(cs.normQ)
+		load := cs.fifoQ.Len() + cs.normQ.Len()
 		if cs.cur != nil {
 			load++
 		}
@@ -197,13 +221,13 @@ func (k *Kernel) wake(t *Thread) {
 	t.core = core
 	cs := k.cores[core]
 	if t.class == ClassFIFO {
-		cs.fifoQ = append(cs.fifoQ, t)
+		cs.fifoQ.PushBack(t)
 		// FIFO wake preempts a running normal thread.
 		if cs.cur != nil && cs.cur.class == ClassNormal && !cs.stealing {
 			k.preemptCurrent(cs, true)
 		}
 	} else {
-		cs.normQ = append(cs.normQ, t)
+		cs.normQ.PushBack(t)
 	}
 	k.dispatch(cs)
 }
@@ -220,28 +244,24 @@ func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
 	cs.quantum.Disarm()
 	cs.cur = nil
 	t.state = Runnable
+	q := &cs.normQ
 	if t.class == ClassFIFO {
-		if front {
-			cs.fifoQ = append([]*Thread{t}, cs.fifoQ...)
-		} else {
-			cs.fifoQ = append(cs.fifoQ, t)
-		}
+		q = &cs.fifoQ
+	}
+	if front {
+		q.PushFront(t)
 	} else {
-		if front {
-			cs.normQ = append([]*Thread{t}, cs.normQ...)
-		} else {
-			cs.normQ = append(cs.normQ, t)
-		}
+		q.PushBack(t)
 	}
 }
 
-func (k *Kernel) quantumExpired(cs *coreSched) {
+func (cs *coreSched) quantumExpired() {
 	if cs.cur == nil || cs.stealing {
 		return
 	}
 	// Round-robin: requeue at the tail.
-	k.preemptCurrent(cs, false)
-	k.dispatch(cs)
+	cs.k.preemptCurrent(cs, false)
+	cs.k.dispatch(cs)
 }
 
 // dispatch runs the next thread on an idle core.
@@ -250,12 +270,10 @@ func (k *Kernel) dispatch(cs *coreSched) {
 		return
 	}
 	var t *Thread
-	if len(cs.fifoQ) > 0 {
-		t = cs.fifoQ[0]
-		cs.fifoQ = cs.fifoQ[1:]
-	} else if len(cs.normQ) > 0 {
-		t = cs.normQ[0]
-		cs.normQ = cs.normQ[1:]
+	if cs.fifoQ.Len() > 0 {
+		t = cs.fifoQ.PopFront()
+	} else if cs.normQ.Len() > 0 {
+		t = cs.normQ.PopFront()
 	} else {
 		return
 	}
@@ -289,43 +307,50 @@ func (k *Kernel) dispatch(cs *coreSched) {
 func (k *Kernel) startCurrent(cs *coreSched) {
 	t := cs.cur
 	t.sliceStart = k.eng.Now()
-	k.mach.Core(cs.id).Exec.Start(t.name+":"+t.cur.label, t.rem, 1.0, func() {
-		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-		cs.quantum.Disarm()
-		item := t.cur
-		t.cur = nil
-		t.rem = 0
-		cs.cur = nil
-		// Completion callback may submit more work, wake threads, etc.
-		if item.fn != nil {
-			item.fn()
-		}
-		if t.state == Running {
-			// Still ours: run its next item or block. A completed FIFO
-			// thread with more work continues at the queue head (it was
-			// never preempted).
-			if t.hasWork() || t.idlePoll != nil {
-				t.state = Runnable
-				if t.class == ClassFIFO {
-					cs.fifoQ = append([]*Thread{t}, cs.fifoQ...)
-				} else {
-					cs.normQ = append(cs.normQ, t)
-				}
+	k.mach.Core(cs.id).Exec.Start(t.cur.label, t.rem, 1.0, cs.sliceDone)
+}
+
+// completeSlice is the executor completion of cs.cur's work item. The
+// executor runs only cs.cur's slice: every path that changes cs.cur
+// preempts it first, which drops this callback.
+func (cs *coreSched) completeSlice() {
+	k, t := cs.k, cs.cur
+	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
+	cs.quantum.Disarm()
+	fn := t.cur.fn
+	t.cur = workItem{}
+	t.hasCur = false
+	t.rem = 0
+	cs.cur = nil
+	// Completion callback may submit more work, wake threads, etc.
+	if fn != nil {
+		fn()
+	}
+	if t.state == Running {
+		// Still ours: run its next item or block. A completed FIFO
+		// thread with more work continues at the queue head (it was
+		// never preempted).
+		if t.hasWork() || t.idlePoll != nil {
+			t.state = Runnable
+			if t.class == ClassFIFO {
+				cs.fifoQ.PushFront(t)
 			} else {
-				t.state = Blocked
+				cs.normQ.PushBack(t)
 			}
+		} else {
+			t.state = Blocked
 		}
-		k.dispatch(cs)
-	})
+	}
+	k.dispatch(cs)
 }
 
 // CoreQueueLen reports runnable threads queued on a core.
 func (k *Kernel) CoreQueueLen(id hw.CoreID) int {
-	cs := k.cores[id]
+	cs := k.sched(id)
 	if cs == nil {
 		return 0
 	}
-	n := len(cs.fifoQ) + len(cs.normQ)
+	n := cs.fifoQ.Len() + cs.normQ.Len()
 	if cs.cur != nil {
 		n++
 	}
@@ -334,7 +359,7 @@ func (k *Kernel) CoreQueueLen(id hw.CoreID) int {
 
 // Running reports the thread currently on a core (nil when idle).
 func (k *Kernel) Running(id hw.CoreID) *Thread {
-	if cs := k.cores[id]; cs != nil {
+	if cs := k.sched(id); cs != nil {
 		return cs.cur
 	}
 	return nil

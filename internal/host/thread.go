@@ -7,6 +7,7 @@ package host
 import (
 	"fmt"
 
+	"coregap/internal/fifo"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 	"coregap/internal/uarch"
@@ -78,9 +79,10 @@ type Thread struct {
 	// core is where the thread is running or queued.
 	core hw.CoreID
 
-	inbox []workItem
-	cur   *workItem
-	rem   sim.Duration
+	inbox  fifo.Ring[workItem]
+	cur    workItem // valid when hasCur
+	hasCur bool
+	rem    sim.Duration
 
 	// idlePoll, when set, is invoked instead of blocking: it returns a
 	// slice of poll work and a function to run when the slice completes.
@@ -127,26 +129,26 @@ func (t *Thread) Core() hw.CoreID { return t.core }
 func (t *Thread) Pin() hw.CoreID { return t.pin }
 
 // QueueLen reports pending work items (excluding the current one).
-func (t *Thread) QueueLen() int { return len(t.inbox) }
+func (t *Thread) QueueLen() int { return t.inbox.Len() }
 
-func (t *Thread) hasWork() bool { return t.cur != nil || len(t.inbox) > 0 }
+func (t *Thread) hasWork() bool { return t.hasCur || t.inbox.Len() > 0 }
 
 // takeNext loads the next work item into cur; it reports false when the
 // inbox is empty and no idle poll is configured.
 func (t *Thread) takeNext() bool {
-	if t.cur != nil {
+	if t.hasCur {
 		return true
 	}
-	if len(t.inbox) > 0 {
-		item := t.inbox[0]
-		t.inbox = t.inbox[1:]
-		t.cur = &item
-		t.rem = item.work
+	if t.inbox.Len() > 0 {
+		t.cur = t.inbox.PopFront()
+		t.hasCur = true
+		t.rem = t.cur.work
 		return true
 	}
 	if t.idlePoll != nil {
 		work, fn := t.idlePoll()
-		t.cur = &workItem{label: t.name + ":poll", work: work, fn: fn}
+		t.cur = workItem{label: "poll", work: work, fn: fn}
+		t.hasCur = true
 		t.rem = work
 		return true
 	}

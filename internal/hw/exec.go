@@ -24,13 +24,16 @@ type Executor struct {
 	startedAt sim.Time
 	ev        sim.Event
 	onDone    func()
+	done      func() // x.complete, bound once
 
 	busySince sim.Time
 	busyTotal sim.Duration
 }
 
 func newExecutor(eng *sim.Engine, core *Core) *Executor {
-	return &Executor{eng: eng, core: core, speed: 1}
+	x := &Executor{eng: eng, core: core, speed: 1}
+	x.done = x.complete
+	return x
 }
 
 // reset idles the executor and zeroes its accounting for a new trial.
@@ -78,8 +81,10 @@ func (x *Executor) Utilization() float64 {
 }
 
 // Start begins executing `work` nanoseconds of compute at the given speed
-// factor (1.0 = full speed); onDone fires when the work completes. It
-// panics if the executor is already busy — owners must Preempt first;
+// factor (1.0 = full speed); onDone fires when the work completes. The
+// label names the kind of work ("guest", "scan", ...) and becomes the
+// completion event's label verbatim, so it must be a static string:
+// the core is the identity. It panics if the executor is already busy — owners must Preempt first;
 // double-dispatch always indicates a scheduling bug worth failing loudly.
 func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone func()) {
 	if x.running {
@@ -104,7 +109,7 @@ func (x *Executor) Start(label string, work sim.Duration, speed float64, onDone 
 
 func (x *Executor) schedule() {
 	wall := sim.Duration(float64(x.remaining) / x.speed)
-	x.ev = x.eng.After(wall, "exec:"+x.label, x.complete)
+	x.ev = x.eng.After(wall, x.label, x.done)
 }
 
 func (x *Executor) complete() {

@@ -248,6 +248,49 @@ type Machine struct {
 	ipiLatency      sim.Duration
 	worldSwitchCost sim.Duration
 	freqGHz         float64
+
+	// Interrupts in flight: records with a delivery callback bound once,
+	// free-listed so SendIPI/DeliverIRQ allocate nothing in steady state.
+	// msgs holds every record ever built; Reset returns them all to the
+	// free list (the engine's Reset discarded their events).
+	msgs    []*irqMsg
+	msgFree []*irqMsg
+}
+
+// irqMsg is one interrupt on the wire to a core.
+type irqMsg struct {
+	m       *Machine
+	target  *Core
+	from    CoreID
+	irq     IRQ
+	deliver func() // msg.fire, bound once
+}
+
+// fire hands the interrupt to the handler the target's owner has
+// installed at delivery time, recycling the record first.
+func (msg *irqMsg) fire() {
+	target, from, irq := msg.target, msg.from, msg.irq
+	msg.target = nil
+	msg.m.msgFree = append(msg.m.msgFree, msg)
+	if target.handler != nil {
+		target.handler(from, irq)
+	}
+}
+
+// post schedules delivery of irq from "from" to target after the
+// physical delivery latency.
+func (m *Machine) post(label string, target *Core, from CoreID, irq IRQ) {
+	var msg *irqMsg
+	if k := len(m.msgFree); k > 0 {
+		msg = m.msgFree[k-1]
+		m.msgFree = m.msgFree[:k-1]
+	} else {
+		msg = &irqMsg{m: m}
+		msg.deliver = msg.fire
+		m.msgs = append(m.msgs, msg)
+	}
+	msg.target, msg.from, msg.irq = target, from, irq
+	m.eng.After(m.ipiLatency, label, msg.deliver)
 }
 
 // Config sizes a machine.
@@ -334,6 +377,11 @@ func (m *Machine) Reset(cfg Config) {
 	for _, c := range m.cores {
 		c.reset(cfg.ExecLogDepth)
 	}
+	m.msgFree = m.msgFree[:0]
+	for _, msg := range m.msgs {
+		msg.target = nil
+		m.msgFree = append(m.msgFree, msg)
+	}
 }
 
 // Engine reports the machine's simulation engine.
@@ -370,11 +418,7 @@ func (m *Machine) SendIPI(from, to CoreID, irq IRQ) {
 	target := m.Core(to)
 	m.eng.Count(cIPISent)
 	m.eng.Trace().Span(sim.TCIRQ, "hw.ipi", int32(to), m.ipiLatency, int64(irq))
-	m.eng.After(m.ipiLatency, fmt.Sprintf("ipi%d->%d", from, to), func() {
-		if target.handler != nil {
-			target.handler(from, irq)
-		}
-	})
+	m.post("ipi", target, from, irq)
 }
 
 // DeliverIRQ delivers a device interrupt (SPI) to a core immediately
@@ -384,11 +428,7 @@ func (m *Machine) DeliverIRQ(to CoreID, irq IRQ) {
 	target := m.Core(to)
 	m.eng.Count(cIRQSent)
 	m.eng.Trace().Span(sim.TCIRQ, "hw.irq", int32(to), m.ipiLatency, int64(irq))
-	m.eng.After(m.ipiLatency, fmt.Sprintf("irq%d@%d", int(irq), to), func() {
-		if target.handler != nil {
-			target.handler(NoCore, irq)
-		}
-	})
+	m.post("irq", target, NoCore, irq)
 }
 
 // SetPower transitions a core's hotplug state. The transition itself is

@@ -5,35 +5,40 @@ import "fmt"
 // Timer is a re-armable one-shot timer bound to an engine. It wraps the
 // cancel-and-reschedule pattern used pervasively by periodic hardware
 // timers and watchdogs in the models.
+//
+// The label is fixed at construction and the expiry callback is bound
+// once, so arming allocates nothing.
 type Timer struct {
 	eng   *Engine
 	ev    Event
 	label string
 	fn    func()
+	fire  func() // t.expire, bound once
 }
 
 // NewTimer returns an unarmed timer that will invoke fn when it fires.
 func NewTimer(eng *Engine, label string, fn func()) *Timer {
-	return &Timer{eng: eng, label: label, fn: fn}
+	t := &Timer{eng: eng, label: label, fn: fn}
+	t.fire = t.expire
+	return t
+}
+
+func (t *Timer) expire() {
+	t.ev = Event{}
+	t.fn()
 }
 
 // Arm (re)schedules the timer to fire after d. Any previously pending
 // expiry is cancelled.
 func (t *Timer) Arm(d Duration) {
 	t.Disarm()
-	t.ev = t.eng.After(d, t.label, func() {
-		t.ev = Event{}
-		t.fn()
-	})
+	t.ev = t.eng.After(d, t.label, t.fire)
 }
 
 // ArmAt (re)schedules the timer to fire at absolute time at.
 func (t *Timer) ArmAt(at Time) {
 	t.Disarm()
-	t.ev = t.eng.At(at, t.label, func() {
-		t.ev = Event{}
-		t.fn()
-	})
+	t.ev = t.eng.At(at, t.label, t.fire)
 }
 
 // Disarm cancels a pending expiry, if any.
@@ -55,7 +60,7 @@ func (t *Timer) Deadline() Time {
 
 // Ticker invokes fn every period, starting one period from Start.
 // Unlike two chained Timers, it guarantees no drift: ticks fire at
-// start+k*period exactly.
+// start+k*period exactly. Like Timer, it binds its tick callback once.
 type Ticker struct {
 	eng    *Engine
 	label  string
@@ -63,6 +68,7 @@ type Ticker struct {
 	next   Time
 	ev     Event
 	fn     func()
+	fire   func() // t.tick, bound once
 }
 
 // NewTicker returns a stopped ticker.
@@ -70,7 +76,9 @@ func NewTicker(eng *Engine, label string, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: ticker %q with period %v", label, period))
 	}
-	return &Ticker{eng: eng, label: label, period: period, fn: fn}
+	t := &Ticker{eng: eng, label: label, period: period, fn: fn}
+	t.fire = t.tick
+	return t
 }
 
 // Start begins ticking. The first tick fires one period from now.
@@ -81,11 +89,13 @@ func (t *Ticker) Start() {
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.eng.At(t.next, t.label, func() {
-		t.next = t.next.Add(t.period)
-		t.schedule()
-		t.fn()
-	})
+	t.ev = t.eng.At(t.next, t.label, t.fire)
+}
+
+func (t *Ticker) tick() {
+	t.next = t.next.Add(t.period)
+	t.schedule()
+	t.fn()
 }
 
 // Stop cancels future ticks.

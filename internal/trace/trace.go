@@ -211,9 +211,33 @@ func (s *Set) WindowWidth() sim.Duration { return s.winWidth }
 // generators) goes through, so enabling windows never changes whole-run
 // artifacts.
 func (s *Set) Lat(name string, now sim.Time, d sim.Duration) {
-	s.Hist(name).Observe(d)
+	s.Latency(name).Record(now, d)
+}
+
+// Latency is a resolved handle on one named latency metric: the whole-run
+// histogram and, when windows are enabled, the windowed metric. Hot
+// record sites resolve it once and keep it for the run (it is valid
+// until the set's next Reset), so recording skips the name lookups.
+type Latency struct {
+	h *Hist
+	w *Windowed
+}
+
+// Latency resolves the named latency metric, creating it exactly as the
+// first Lat(name, ...) would.
+func (s *Set) Latency(name string) Latency {
+	l := Latency{h: s.Hist(name)}
 	if s.winWidth > 0 {
-		s.Windowed(name).Observe(now, d)
+		l.w = s.Windowed(name)
+	}
+	return l
+}
+
+// Record is Set.Lat on the resolved metric.
+func (l Latency) Record(now sim.Time, d sim.Duration) {
+	l.h.Observe(d)
+	if l.w != nil {
+		l.w.Observe(now, d)
 	}
 }
 

@@ -168,7 +168,20 @@ type VFDevice struct {
 	vmm  *VMM
 	peer func(bytes, tag int)
 
+	// In-flight transmissions and receive DMAs, with their landing
+	// callbacks bound once.
+	inflight deliveries
+	toPeerFn func(vcpu, bytes, tag int)
+	dmaFn    func(vcpu, bytes, tag int)
+
 	txBytes, rxBytes uint64
+}
+
+func newVFDevice(v *VMM) *VFDevice {
+	d := &VFDevice{vmm: v}
+	d.toPeerFn = d.toPeer
+	d.dmaFn = d.dmaDone
+	return d
 }
 
 // ConnectPeer attaches the external peer's receive function.
@@ -181,11 +194,14 @@ func (d *VFDevice) Submit(vcpu int, req guest.IORequest) {
 	v.count("vmm.vf.tx")
 	wire := v.costs.VFDMALatency + v.costs.WireLatency +
 		sim.Duration(v.costs.WireNsPerByte*float64(req.Bytes))
-	v.eng.After(wire, "vf-wire", func() {
-		if d.peer != nil {
-			d.peer(req.Bytes, req.Tag)
-		}
-	})
+	d.inflight.after(v.eng, wire, "vf-wire", d.toPeerFn, vcpu, req.Bytes, req.Tag)
+}
+
+// toPeer lands a transmission at the peer.
+func (d *VFDevice) toPeer(_, bytes, tag int) {
+	if d.peer != nil {
+		d.peer(bytes, tag)
+	}
 }
 
 // DeliverToGuest is the RX path: DMA into guest memory, then the
@@ -196,9 +212,12 @@ func (d *VFDevice) DeliverToGuest(vcpu, bytes, tag int) {
 	v := d.vmm
 	d.rxBytes += uint64(bytes)
 	v.count("vmm.vf.rx")
-	v.eng.After(v.costs.VFDMALatency, "vf-dma", func() {
-		v.Inject(vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.SRIOVNet, Bytes: bytes, Tag: tag})
-	})
+	d.inflight.after(v.eng, v.costs.VFDMALatency, "vf-dma", d.dmaFn, vcpu, bytes, tag)
+}
+
+// dmaDone raises the receive completion once the DMA has landed.
+func (d *VFDevice) dmaDone(vcpu, bytes, tag int) {
+	d.vmm.Inject(vcpu, guest.Event{Kind: guest.EvPacket, Dev: guest.SRIOVNet, Bytes: bytes, Tag: tag})
 }
 
 // TxBytes reports transmitted bytes.

@@ -19,12 +19,19 @@ type Peer struct {
 	sendToGuest func(vcpu, bytes, tag int)
 	wire        sim.Duration
 	wireNsPerB  float64
+
+	// inflight holds messages on the wire; arriveFn is p.arrive, bound
+	// once.
+	inflight deliveries
+	arriveFn func(vcpu, bytes, tag int)
 }
 
 // NewPeer builds a peer with the same wire characteristics as the device
 // model.
 func NewPeer(eng *sim.Engine, costs Costs, met *trace.Set) *Peer {
-	return &Peer{eng: eng, met: met, wire: costs.WireLatency, wireNsPerB: costs.WireNsPerByte}
+	p := &Peer{eng: eng, met: met, wire: costs.WireLatency, wireNsPerB: costs.WireNsPerByte}
+	p.arriveFn = p.arrive
+	return p
 }
 
 // Connect wires the peer's transmit path to a device's DeliverToGuest.
@@ -37,12 +44,14 @@ func (p *Peer) wireDelay(bytes int) sim.Duration {
 
 // Send transmits bytes to the guest vCPU after wire latency.
 func (p *Peer) Send(vcpu, bytes, tag int) {
-	d := p.wireDelay(bytes)
-	p.eng.After(d, "peer-wire", func() {
-		if p.sendToGuest != nil {
-			p.sendToGuest(vcpu, bytes, tag)
-		}
-	})
+	p.inflight.after(p.eng, p.wireDelay(bytes), "peer-wire", p.arriveFn, vcpu, bytes, tag)
+}
+
+// arrive hands a message that crossed the wire to the guest's device.
+func (p *Peer) arrive(vcpu, bytes, tag int) {
+	if p.sendToGuest != nil {
+		p.sendToGuest(vcpu, bytes, tag)
+	}
 }
 
 // PingPong runs a NetPIPE-style closed loop: send a message, wait for the

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"coregap/internal/fifo"
 	"coregap/internal/guest"
 )
 
@@ -13,8 +14,8 @@ import (
 type Virtqueue struct {
 	size int
 
-	avail    []queuedReq // posted by the driver, not yet started
-	inFlight int         // taken by the device, not yet completed
+	avail    fifo.Ring[queuedReq] // posted by the driver, not yet started
+	inFlight int                  // taken by the device, not yet completed
 
 	// stats
 	posted   uint64
@@ -42,7 +43,7 @@ func NewVirtqueue(size int) *Virtqueue {
 func (q *Virtqueue) Size() int { return q.size }
 
 // Depth reports descriptors currently in use (posted + in flight).
-func (q *Virtqueue) Depth() int { return len(q.avail) + q.inFlight }
+func (q *Virtqueue) Depth() int { return q.avail.Len() + q.inFlight }
 
 // Free reports available descriptors.
 func (q *Virtqueue) Free() int { return q.size - q.Depth() }
@@ -54,7 +55,7 @@ func (q *Virtqueue) Push(vcpu int, req guest.IORequest) bool {
 		q.fullDrop++
 		return false
 	}
-	q.avail = append(q.avail, queuedReq{vcpu: vcpu, req: req})
+	q.avail.PushBack(queuedReq{vcpu: vcpu, req: req})
 	q.posted++
 	if d := q.Depth(); d > q.maxDepth {
 		q.maxDepth = d
@@ -64,11 +65,10 @@ func (q *Virtqueue) Push(vcpu int, req guest.IORequest) bool {
 
 // Pop takes the next available request for device processing.
 func (q *Virtqueue) Pop() (vcpu int, req guest.IORequest, ok bool) {
-	if len(q.avail) == 0 {
+	if q.avail.Len() == 0 {
 		return 0, guest.IORequest{}, false
 	}
-	head := q.avail[0]
-	q.avail = q.avail[1:]
+	head := q.avail.PopFront()
 	q.inFlight++
 	return head.vcpu, head.req, true
 }

@@ -88,7 +88,7 @@ func New(name string, k *host.Kernel, costs Costs, ioCore int, met *trace.Set) *
 	v.ioThread = k.NewThread(name+"/io", host.ClassNormal, pin)
 	v.Blk = &BlkDevice{vmm: v, vq: NewVirtqueue(DefaultQueueSize)}
 	v.Net = &NetDevice{vmm: v, txq: NewVirtqueue(DefaultQueueSize)}
-	v.VF = &VFDevice{vmm: v}
+	v.VF = newVFDevice(v)
 	return v
 }
 

@@ -327,10 +327,12 @@ PYEOF
 # path must stay allocation-free once its pages are faulted in, the
 # open-loop generator's steady state (arrivals, delivery, response
 # matching, Sent/Backlog probes) must stay allocation-free at 500 krps,
-# and a pooled trial must allocate at least 5x fewer bytes than a
-# fresh one.
+# the paper path's exit → host → re-entry loop must stay allocation-free
+# in every execution mode, and a pooled trial must stay under its
+# absolute byte ceiling.
 go test -run 'TestZeroAlloc|TestEngineResetZeroAlloc' -count=1 ./internal/sim >/dev/null
 go test -run 'TestRecorderZeroAlloc|TestWindowedZeroAlloc|TestHistReset' -count=1 ./internal/trace >/dev/null
 go test -run 'TestZeroAllocOpenLoad' -count=1 ./internal/vmm >/dev/null
+go test -run 'TestZeroAllocExitCycle' -count=1 ./internal/core >/dev/null
 go test -run 'TestTrialAllocs' -count=1 ./internal/exp >/dev/null
 echo "bench: zero-alloc and pooled-trial allocation gates pass"
