@@ -3,7 +3,7 @@
 # a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
 # perf smoke (microbenchmarks + allocation gates -> BENCH_8.json, no
 # wall-clock thresholds) and an end-to-end determinism check (serial CSV
-# output == 8-way parallel CSV output).
+# and counter output == 8-way parallel output).
 
 GO ?= go
 
@@ -51,15 +51,17 @@ trace-smoke:
 	grep -q '"traceEvents"' "$$tmp/trace.json" && \
 	echo "trace-smoke: Chrome trace exported and well-formed"
 
-# The parallel runner must produce byte-identical artifacts to a serial
-# run for the same seed. openloop rides along because its per-window
-# CSVs are the output most sensitive to trial scheduling.
+# The parallel runner must produce byte-identical artifacts and counter
+# banks to a serial run for the same seed. openloop rides along because
+# its per-window CSVs are the output most sensitive to trial scheduling;
+# fig9 because its counter CSVs are the ones that diverged when boot
+# state was cached per worker.
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop -parallel 1 -csv "$$tmp/serial" >/dev/null && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop -parallel 8 -csv "$$tmp/parallel" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9 -parallel 1 -counters -csv "$$tmp/serial" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9 -parallel 8 -counters -csv "$$tmp/parallel" >/dev/null && \
 	diff -r "$$tmp/serial" "$$tmp/parallel" && \
-	echo "determinism: serial and parallel CSVs identical"
+	echo "determinism: serial and parallel CSVs and counters identical"
 
 # Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
 # run, recorded in BENCH_8.json. A smoke, not a threshold — except the

@@ -6,7 +6,7 @@
 //
 //	benchsuite [-exp all|table2|...|fig10|tdx|openloop] [-full] [-seed N]
 //	           [-parallel N] [-fresh] [-json] [-csv DIR] [-v] [-progress]
-//	           [-counters] [-selfmetrics FILE] [-snapshot=false]
+//	           [-counters] [-selfmetrics FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // Experiments come from the internal/exp registry; -exp list prints
@@ -63,7 +63,6 @@ var (
 	progress    = flag.Bool("progress", false, "print a live trials-completed line to stderr")
 	countersCSV = flag.Bool("counters", false, "with -csv, also write each experiment's per-trial engine counters as <exp>-counters.csv")
 	selfmetrics = flag.String("selfmetrics", "", "write runner self-metrics (worker stats, alloc/GC deltas, provenance) as JSON to this file")
-	snapshot    = flag.Bool("snapshot", true, "fork sweep trials from cached boot snapshots when specs share a BootKey")
 )
 
 // readMetric samples one runtime/metrics uint64 counter (0 if absent).
@@ -158,7 +157,6 @@ func fail(code int, format string, args ...any) {
 
 func main() {
 	flag.Parse()
-	exp.SetSnapshotForking(*snapshot)
 	want := strings.ToLower(*expFlag)
 	if want == "list" {
 		for _, name := range exp.Names() {

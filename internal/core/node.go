@@ -93,9 +93,6 @@ type Node struct {
 	tagSeed *sim.Source
 	// wakeups holds the per-host-core wake-up threads (Fig. 4).
 	wakeups map[hw.CoreID]*wakeup
-	// boot, when armed via UseBootCache, captures or forks guest boot
-	// snapshots for sweep trials sharing a BootKey.
-	boot *bootFork
 }
 
 // Context bundles the expensive, resettable substrate a Node is built

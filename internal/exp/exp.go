@@ -187,35 +187,15 @@ type ScenarioSpec struct {
 	// zero-allocation engine gates assume the disabled fast path.
 	Trace bool
 
-	// BootKey, when non-empty, declares that every trial carrying an
-	// equal key (within the same Config and Cores) performs an identical
-	// guest boot sequence — same VM names, vCPU counts and order — so
-	// pooled workers may fork later trials from a cached boot snapshot
-	// instead of replaying realm construction. The fork is
-	// observationally identical to a full boot; generators set the key
-	// only on sweeps whose trials provably share their boot, and leave
-	// it empty when in doubt. Ignored for traced trials and fresh
-	// (unpooled) execution.
+	// Deprecated: BootKey has no effect. It is kept only because the
+	// repository benchmark (perfbench) still reads it, and goes with
+	// that benchmark's next change.
 	BootKey string
 
 	// Series/X place the trial's results on a figure: reducers group by
 	// Series label and plot at coordinate X. Unused by table reducers.
 	Series string
 	X      float64
-}
-
-// bootKey names a boot shape: vms guests of vcpus vCPUs each, booted in
-// NewVM order under the standard vm0..vmN-1 names. Together with the
-// Config and Cores the trial context appends to the key, this fully
-// determines a gapped boot sequence — the workload program never runs
-// until after boot capture, so it is deliberately absent. Generators
-// attach the result as ScenarioSpec.BootKey on sweeps whose trials
-// share their boot.
-func bootKey(vms, vcpus int) string {
-	if vms <= 0 {
-		vms = 1
-	}
-	return fmt.Sprintf("vms=%d,vcpus=%d", vms, vcpus)
 }
 
 // Profile parameterizes spec generation: the root seed every trial seed

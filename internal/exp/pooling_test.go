@@ -2,6 +2,7 @@ package exp
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"coregap/internal/sim"
@@ -29,9 +30,9 @@ func poolingTestExperiments(t *testing.T) []string {
 // pooling: for every experiment, a fresh-construction serial run, a
 // pooled serial run and a pooled 8-worker run must reduce to
 // byte-identical reports (artifact CSVs, headline lines, per-trial
-// values and labels; Meta.Wall excluded). This is exactly the
-// benchsuite `-exp all -seed 42` tree compared across `-parallel 1/8`
-// and `-fresh`/pooled.
+// values, labels, windows and counter banks; Meta.Wall excluded). This
+// is exactly the benchsuite `-exp all -seed 42 -counters` tree compared
+// across `-parallel 1/8` and `-fresh`/pooled.
 func TestPooledExecuteDeterminism(t *testing.T) {
 	p := Profile{Seed: 42}
 	for _, name := range poolingTestExperiments(t) {
@@ -53,24 +54,12 @@ func TestPooledExecuteDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pooled parallel: %v", name, err)
 		}
-		// The pooled runs above execute with boot-snapshot forking at its
-		// default (on); a serial run with forking disabled pins down that
-		// the fork path, not luck, is what matches.
-		SetSnapshotForking(false)
-		pooledOff, err := NewRunner(1).RunExperiment(e, p)
-		SetSnapshotForking(true)
-		if err != nil {
-			t.Fatalf("%s pooled no-snapshot: %v", name, err)
-		}
 		want := renderReport(t, fresh)
 		if got := renderReport(t, pooled1); got != want {
 			t.Errorf("%s: pooled serial differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
 		if got := renderReport(t, pooled8); got != want {
 			t.Errorf("%s: pooled 8-worker differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
-		}
-		if got := renderReport(t, pooledOff); got != want {
-			t.Errorf("%s: pooled no-snapshot run differs from fresh\nfresh:\n%s\npooled:\n%s", name, want, got)
 		}
 	}
 }
@@ -108,6 +97,50 @@ func TestPooledContextReuseOrderIndependence(t *testing.T) {
 			t.Errorf("run %d (%s): pooled values diverge after reuse\nfresh:\n%s\npooled:\n%s",
 				i, spec.ID, exp, got)
 		}
+	}
+}
+
+// TestFailedTrialDoesNotPoisonContext: a trial that fails mid-boot
+// (its third VM is refused admission) leaves the worker's context fit
+// for the next trial, which must match a fresh Execute in values,
+// windows and counters — directly on a TrialContext and through a
+// one-worker Runner.
+func TestFailedTrialDoesNotPoisonContext(t *testing.T) {
+	bad := ScenarioSpec{ID: "overcommit", Config: ConfigGapped, Cores: 6, Seed: 13,
+		Workload: Workload{Kind: WLCoreMark, VMs: 3, VCPUs: 2, Work: 5 * sim.Millisecond}}
+	e, ok := Lookup("fig7")
+	if !ok {
+		t.Fatal("experiment fig7 not registered")
+	}
+	specs := e.Specs(Profile{Seed: 42})
+	good := specs[len(specs)-1]
+	fingerprint := func(tr Trial) string {
+		return trialValues(tr) + windowLines(tr) + counterLines(tr)
+	}
+	fresh, err := Execute(good)
+	if err != nil {
+		t.Fatalf("fresh %s: %v", good.ID, err)
+	}
+	want := fingerprint(fresh)
+
+	ctx := NewTrialContext()
+	if _, err := ExecuteIn(ctx, bad); err == nil || !strings.Contains(err.Error(), "not enough free cores") {
+		t.Fatalf("overcommitted trial: err = %v, want admission failure", err)
+	}
+	got, err := ExecuteIn(ctx, good)
+	if err != nil {
+		t.Fatalf("%s after failed trial: %v", good.ID, err)
+	}
+	if g := fingerprint(got); g != want {
+		t.Errorf("context: trial after a failure differs from fresh\nfresh:\n%s\npooled:\n%s", want, g)
+	}
+
+	trials, err := NewRunner(1).RunSpecs([]ScenarioSpec{bad, good})
+	if err == nil || !strings.Contains(err.Error(), bad.ID) {
+		t.Fatalf("runner: err = %v, want failure naming %q", err, bad.ID)
+	}
+	if g := fingerprint(trials[1]); g != want {
+		t.Errorf("runner: trial after a failure differs from fresh\nfresh:\n%s\npooled:\n%s", want, g)
 	}
 }
 

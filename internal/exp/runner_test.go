@@ -8,9 +8,9 @@ import (
 )
 
 // renderReport flattens every deterministic part of a report — artifact
-// CSVs, headline lines, per-trial values and labels — into one string
-// for byte-level comparison. Meta.Wall is deliberately excluded: it is
-// the only host-dependent field.
+// CSVs, headline lines, per-trial values, labels, windows and engine
+// counter banks — into one string for byte-level comparison. Meta.Wall
+// is deliberately excluded: it is the only host-dependent field.
 func renderReport(t *testing.T, rep *Report) string {
 	t.Helper()
 	var b strings.Builder
@@ -31,16 +31,8 @@ func renderReport(t *testing.T, rep *Report) string {
 		b.WriteString(meta.String())
 		b.WriteByte('\n')
 		b.WriteString(trialValues(tr))
-		var wnames []string
-		for name := range tr.Windows {
-			wnames = append(wnames, name)
-		}
-		sort.Strings(wnames)
-		for _, name := range wnames {
-			for _, st := range tr.Windows[name] {
-				fmt.Fprintf(&b, "win %s %+v\n", name, st)
-			}
-		}
+		b.WriteString(windowLines(tr))
+		b.WriteString(counterLines(tr))
 	}
 	return b.String()
 }
@@ -62,6 +54,36 @@ func trialValues(tr Trial) string {
 	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%s=%s\n", k, strings.Join(tr.Labels[k], ";"))
+	}
+	return b.String()
+}
+
+// windowLines flattens a trial's windowed metrics.
+func windowLines(tr Trial) string {
+	var names []string
+	for name := range tr.Windows {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		for _, st := range tr.Windows[name] {
+			fmt.Fprintf(&b, "win %s %+v\n", name, st)
+		}
+	}
+	return b.String()
+}
+
+// counterLines flattens a trial's engine counter bank.
+func counterLines(tr Trial) string {
+	var keys []string
+	for k := range tr.Counters {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s=%d\n", k, tr.Counters[k])
 	}
 	return b.String()
 }

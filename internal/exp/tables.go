@@ -190,11 +190,9 @@ func table5Specs(window sim.Duration, seed uint64) []ScenarioSpec {
 	for _, op := range []guest.RedisOp{guest.OpSet, guest.OpGet, guest.OpLRange100} {
 		specs = append(specs,
 			ScenarioSpec{ID: op.String() + "/shared", Config: ConfigBaseline,
-				Cores: 16, Seed: seed, Workload: redis(op, 16),
-				BootKey: bootKey(1, 16)},
+				Cores: 16, Seed: seed, Workload: redis(op, 16)},
 			ScenarioSpec{ID: op.String() + "/gapped", Config: ConfigGapped,
-				Cores: 16, Seed: seed, Workload: redis(op, 15),
-				BootKey: bootKey(1, 15)})
+				Cores: 16, Seed: seed, Workload: redis(op, 15)})
 	}
 	return specs
 }

@@ -1,24 +1,10 @@
 package exp
 
 import (
-	"fmt"
-
 	"coregap/internal/core"
 	"coregap/internal/hw"
 	"coregap/internal/sim"
 )
-
-// snapshotForking gates boot-snapshot forking process-wide (the
-// benchsuite -snapshot flag). On by default; generators opt individual
-// sweeps in via ScenarioSpec.BootKey. Not safe to flip mid-run.
-var snapshotForking = true
-
-// SetSnapshotForking enables or disables boot-snapshot forking for
-// subsequent trials. Call before starting a run.
-func SetSnapshotForking(on bool) { snapshotForking = on }
-
-// SnapshotForking reports whether boot-snapshot forking is enabled.
-func SnapshotForking() bool { return snapshotForking }
 
 // TrialContext is one worker's warmed simulation substrate, reused
 // across every trial that worker executes. It wraps a core.Context —
@@ -40,11 +26,6 @@ func SnapshotForking() bool { return snapshotForking }
 // byte-identical trials.
 type TrialContext struct {
 	core *core.Context
-	// boots caches boot snapshots across this worker's trials, keyed by
-	// ScenarioSpec.BootKey (plus config and core count); trials sharing
-	// a key fork their guest boots instead of replaying realm
-	// construction. Lazily built on the first keyed trial.
-	boots *core.BootCache
 }
 
 // NewTrialContext returns a context ready for any sequence of specs.
@@ -62,17 +43,7 @@ func (c *TrialContext) node(spec ScenarioSpec) *core.Node {
 		return core.NewNode(spec.Cores, opts, core.DefaultParams(), spec.Seed)
 	}
 	c.core.Reset(spec.Cores, spec.Seed)
-	n := core.NewNodeIn(c.core, opts, core.DefaultParams())
-	// Arm boot-snapshot forking for keyed, untraced trials. Traced
-	// trials must replay the full boot — the granule-protocol trace
-	// events of a forked boot would otherwise vanish from the capture.
-	if spec.BootKey != "" && !spec.Trace && snapshotForking {
-		if c.boots == nil {
-			c.boots = core.NewBootCache()
-		}
-		n.UseBootCache(c.boots, fmt.Sprintf("%s|%s|%d", spec.BootKey, spec.Config, spec.Cores))
-	}
-	return n
+	return core.NewNodeIn(c.core, opts, core.DefaultParams())
 }
 
 // engine resets the context to a cores-core machine for seed and

@@ -110,7 +110,7 @@ type Table struct {
 	n      uint64   // granule count
 	chunks []*chunk // nil until a granule in the chunk is mutated
 	counts [6]uint64
-	// touched lists the chunks mutated since the last Reset/Restore, in
+	// touched lists the chunks mutated since the last Reset, in
 	// first-touch order; Reset scrubs only these and keeps them
 	// allocated for the next run.
 	touched []uint32
@@ -146,58 +146,6 @@ func (t *Table) Reset(size uint64) {
 	t.touched = t.touched[:0]
 	t.counts = [6]uint64{}
 	t.counts[Undelegated] = n
-}
-
-// Image is a copy of every chunk a table's mutations touched —
-// everything a boot sequence changed — taken by Snapshot and written
-// back by Restore. It is immutable once taken: both directions copy, so
-// a cached image stays valid while the live table keeps mutating.
-type Image struct {
-	index  []uint32 // chunk indexes, parallel to chunks
-	chunks []chunk
-	counts [6]uint64
-	size   uint64 // granule count of the source table
-}
-
-// Snapshot copies the table's touched chunks. Restoring the image later
-// reproduces today's state exactly, without replaying the delegation
-// protocol that built it (the boot-fork fast path).
-func (t *Table) Snapshot() *Image {
-	img := &Image{
-		index:  append([]uint32(nil), t.touched...),
-		chunks: make([]chunk, len(t.touched)),
-		counts: t.counts,
-		size:   t.n,
-	}
-	for i, c := range t.touched {
-		img.chunks[i] = *t.chunks[c]
-	}
-	return img
-}
-
-// Restore overwrites the table's state with the image. The table must
-// cover the same physical memory the image was taken from. No counters
-// or trace events fire: Restore is state transplantation, not protocol;
-// callers replaying a boot account for the skipped transitions
-// themselves.
-func (t *Table) Restore(img *Image) error {
-	if t.n != img.size {
-		return fmt.Errorf("granule: restore into table of %d granules, image from %d",
-			t.n, img.size)
-	}
-	for _, c := range t.touched {
-		clear(t.chunks[c][:])
-	}
-	t.touched = t.touched[:0]
-	for i, c := range img.index {
-		if t.chunks[c] == nil {
-			t.chunks[c] = new(chunk)
-		}
-		*t.chunks[c] = img.chunks[i]
-		t.touched = append(t.touched, c)
-	}
-	t.counts = img.counts
-	return nil
 }
 
 // Bind attaches the engine whose counters and tracer receive this

@@ -18,14 +18,6 @@ func newRefTable(size uint64) *refTable {
 	return &refTable{n: size / Size, g: map[uint64]granule{}}
 }
 
-func (r *refTable) clone() *refTable {
-	c := &refTable{n: r.n, g: make(map[uint64]granule, len(r.g))}
-	for k, v := range r.g {
-		c.g[k] = v
-	}
-	return c
-}
-
 func (r *refTable) check(pa PA) error {
 	switch {
 	case uint64(pa)%Size != 0:
@@ -119,7 +111,7 @@ func (r *refTable) count(s State) uint64 {
 
 // TestLazyTableMatchesReference drives the chunked table and the map
 // reference through the same random operation stream — delegation
-// protocol, resets, snapshot/restore, and reads — over addresses that
+// protocol, resets and reads — over addresses that
 // cluster in a low prefix (the bump allocator's pattern), scatter to
 // stray high granules, and stray out of range or off alignment.
 func TestLazyTableMatchesReference(t *testing.T) {
@@ -127,11 +119,6 @@ func TestLazyTableMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab, ref := NewTable(size), newRefTable(size)
-		type snap struct {
-			img *Image
-			ref *refTable
-		}
-		var snaps []snap
 
 		addr := func() PA {
 			switch k := rng.Intn(20); {
@@ -170,17 +157,6 @@ func TestLazyTableMatchesReference(t *testing.T) {
 			case k < 77:
 				tab.Reset(size)
 				ref = newRefTable(size)
-			case k < 82:
-				snaps = append(snaps, snap{tab.Snapshot(), ref.clone()})
-			case k < 87:
-				if len(snaps) == 0 {
-					continue
-				}
-				s := snaps[rng.Intn(len(snaps))]
-				if err := tab.Restore(s.img); err != nil {
-					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
-				}
-				ref = s.ref.clone()
 			default:
 				st, err := tab.State(pa)
 				sameErr(step, "state", err, ref.check(pa))
@@ -258,17 +234,5 @@ func TestLazyTableAllocatesOnMutation(t *testing.T) {
 	}
 	if got := tab.CountIn(Undelegated); got != tab.Granules() {
 		t.Fatalf("undelegated count %d of %d", got, tab.Granules())
-	}
-}
-
-// TestRestoreSizeMismatch: an image only restores into a table of the
-// size it was taken from.
-func TestRestoreSizeMismatch(t *testing.T) {
-	small, big := NewTable(64<<20), NewTable(128<<20)
-	if err := small.Delegate(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := big.Restore(small.Snapshot()); err == nil {
-		t.Fatal("restore across table sizes succeeded")
 	}
 }

@@ -88,26 +88,6 @@ func NewTree(r RealmID, gpt *Table, rootPA PA) (*Tree, error) {
 // Realm reports the owning realm.
 func (t *Tree) Realm() RealmID { return t.realm }
 
-// Clone deep-copies the tree, binding the copy to gpt. The granule
-// states backing the tables are NOT copied — the caller restores them
-// separately (Table.Restore) when transplanting a boot snapshot.
-func (t *Tree) Clone(gpt *Table) *Tree {
-	return &Tree{realm: t.realm, gpt: gpt, root: cloneRTTNode(t.root), mapped: t.mapped}
-}
-
-func cloneRTTNode(n *rttNode) *rttNode {
-	if n == nil {
-		return nil
-	}
-	c := &rttNode{tablePA: n.tablePA, leaves: n.leaves, live: n.live}
-	for i, ch := range n.children {
-		if ch != nil {
-			c.children[i] = cloneRTTNode(ch)
-		}
-	}
-	return c
-}
-
 // Mapped reports the number of protected granules currently mapped.
 func (t *Tree) Mapped() uint64 { return t.mapped }
 

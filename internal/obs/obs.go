@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"coregap/internal/sim"
 )
@@ -62,17 +61,6 @@ func tid(ev sim.TraceEvent) int {
 // nonzero Dur become complete ("X") slices; the rest become
 // thread-scoped instants ("i").
 func ChromeTrace(w io.Writer, proc string, events []sim.TraceEvent) error {
-	return ChromeTraceWithCounters(w, proc, events, nil)
-}
-
-// ChromeTraceWithCounters is ChromeTrace plus counter tracks: every
-// entry of counters becomes a Chrome counter ("C") sample at the
-// trace's final timestamp, so headline engine totals — snapshot forks
-// and hits — get their own lanes in the viewer next to
-// the event lanes. Counter samples are emitted in sorted name order;
-// zero values are included deliberately, pinning the track (and the
-// fact that the mechanism was off) into the trace.
-func ChromeTraceWithCounters(w io.Writer, proc string, events []sim.TraceEvent, counters map[string]uint64) error {
 	out := chromeTrace{DisplayTimeUnit: "ns"}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", PID: 1,
@@ -115,25 +103,6 @@ func ChromeTraceWithCounters(w io.Writer, proc string, events []sim.TraceEvent, 
 			ce.S = "t"
 		}
 		out.TraceEvents = append(out.TraceEvents, ce)
-	}
-	if len(counters) > 0 {
-		end := 0.0
-		for _, ev := range events {
-			if ts := usec(int64(ev.At)); ts > end {
-				end = ts
-			}
-		}
-		names := make([]string, 0, len(counters))
-		for name := range counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Cat: "counter", Ph: "C", TS: end, PID: 1,
-				Args: map[string]any{"value": counters[name]},
-			})
-		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -17,8 +17,7 @@
 #   - guards the headline serial keys (smoke wall_s, all_parallel1_s,
 #     openloop_parallel4_s, openloop_500k_s) against the previous
 #     BENCH_N.json: >10% slower prints a LOUD regression warning
-#   - stamps provenance (git SHA, go version, GOOS/GOARCH, snapshot
-#     forking on/off)
+#   - stamps provenance (git SHA, go version, GOOS/GOARCH)
 #   - preserves the "suite" section of an existing BENCH_8.json,
 #     seeding it from BENCH_7.json (or BENCH_6.json) the first time
 #
@@ -28,9 +27,6 @@
 #     -exp because -exp all grew the open-loop experiments) at
 #     -parallel 1, 2, 4 and 8, plus a -fresh serial run as the
 #     construction-cost baseline
-#   - A/Bs the serial suite with -snapshot=false
-#     (all_parallel1_nosnapshot_s), so the boot-snapshot win stays
-#     measured, not asserted
 #   - times the open-loop experiments separately (openloop_parallel4_s)
 #     so their cost is visible without muddying the legacy trajectory
 #   - computes per-N parallel efficiency, eff(N) = p1 / (N * pN), and
@@ -45,10 +41,6 @@ set -e
 cd "$(dirname "$0")/.."
 
 BENCH_OUT=${BENCH_OUT:-BENCH_8.json}
-# SNAPSHOT=0 disables boot-snapshot forking.
-SNAPSHOT=${SNAPSHOT:-1}
-SNAPFLAG="-snapshot=true"
-[ "$SNAPSHOT" = "1" ] || SNAPFLAG="-snapshot=false"
 # The experiment set every earlier BENCH_N.json called "all": the
 # paper's eleven artifacts, pre-open-loop. Keep timing exactly this set
 # under the all_parallel{N}_s keys so the trajectory stays comparable.
@@ -75,7 +67,7 @@ walltime() {
 }
 
 echo "bench: smoke run (table3, serial)..."
-SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1 $SNAPFLAG)
+SMOKE_S=$(walltime "$TMP/benchsuite" -exp table3 -seed 42 -parallel 1)
 
 echo "bench: open-loop headline (coregapctl, 500 krps, 1Mi connections)..."
 OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -clients 1048576)
@@ -88,7 +80,7 @@ OPENLOOP_500K_S=$(walltime "$TMP/coregapctl" -workload openloop -rate 500000 -cl
     | grep '^memstats:' >"$TMP/mem500k.txt"
 
 echo "bench: runner self-metrics (table3, -parallel 2)..."
-"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 $SNAPFLAG \
+"$TMP/benchsuite" -exp table3 -seed 42 -parallel 2 \
     -selfmetrics "$TMP/selfmetrics.json" >/dev/null
 
 GIT_SHA=$(git rev-parse HEAD 2>/dev/null || echo unknown)
@@ -99,19 +91,16 @@ SUITE_P2_S=""
 SUITE_P4_S=""
 SUITE_P8_S=""
 SUITE_FRESH_P1_S=""
-SUITE_NOSNAP_P1_S=""
 OPENLOOP_P4_S=""
 if [ "${BENCH_FULL:-0}" = "1" ]; then
     echo "bench: legacy suite, fresh (pooling off), -parallel 1..."
     SUITE_FRESH_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -fresh)
     for n in 1 2 4 8; do
         echo "bench: legacy suite, pooled, -parallel $n..."
-        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n $SNAPFLAG)"
+        eval "SUITE_P${n}_S=\$(walltime \"$TMP/benchsuite\" -exp \"$LEGACY\" -seed 42 -parallel $n)"
     done
-    echo "bench: legacy suite A/B, serial, snapshot forking off..."
-    SUITE_NOSNAP_P1_S=$(walltime "$TMP/benchsuite" -exp "$LEGACY" -seed 42 -parallel 1 -snapshot=false)
     echo "bench: open-loop experiments, pooled, -parallel 4..."
-    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4 $SNAPFLAG)
+    OPENLOOP_P4_S=$(walltime "$TMP/benchsuite" -exp openloop,openloop-burst -seed 42 -parallel 4)
 fi
 
 MICRO="$TMP/micro.txt" SMOKE_S="$SMOKE_S" \
@@ -119,11 +108,9 @@ OPENLOOP_500K_S="$OPENLOOP_500K_S" \
 MEM100K="$TMP/mem100k.txt" MEM500K="$TMP/mem500k.txt" \
 SELFMETRICS="$TMP/selfmetrics.json" \
 GIT_SHA="$GIT_SHA" GO_VERSION="$GO_VERSION" \
-SNAPSHOT="$SNAPSHOT" \
 SUITE_P1_S="$SUITE_P1_S" SUITE_P2_S="$SUITE_P2_S" \
 SUITE_P4_S="$SUITE_P4_S" SUITE_P8_S="$SUITE_P8_S" \
 SUITE_FRESH_P1_S="$SUITE_FRESH_P1_S" OPENLOOP_P4_S="$OPENLOOP_P4_S" \
-SUITE_NOSNAP_P1_S="$SUITE_NOSNAP_P1_S" \
 BENCH_OUT="$BENCH_OUT" \
 python3 - <<'PYEOF'
 import json, os, re
@@ -214,8 +201,6 @@ for n in (1, 2, 4, 8):
         suite[f"all_parallel{n}_s"] = walls[n]
 if os.environ.get("SUITE_FRESH_P1_S", ""):
     suite["all_fresh_parallel1_s"] = float(os.environ["SUITE_FRESH_P1_S"])
-if os.environ.get("SUITE_NOSNAP_P1_S", ""):
-    suite["all_parallel1_nosnapshot_s"] = float(os.environ["SUITE_NOSNAP_P1_S"])
 if os.environ.get("OPENLOOP_P4_S", ""):
     suite["openloop_parallel4_s"] = float(os.environ["OPENLOOP_P4_S"])
 if os.environ.get("OPENLOOP_500K_S", ""):
@@ -297,7 +282,6 @@ doc = {
     "provenance": {
         "git_sha": os.environ.get("GIT_SHA", "unknown"),
         "go_version": os.environ.get("GO_VERSION", "unknown"),
-        "snapshot_forking": os.environ.get("SNAPSHOT", "1") == "1",
     },
     # Efficiency is relative to the measuring host; on a single-CPU
     # host every eff(N>1) is bounded by 1/N and the scaling warning is
@@ -307,7 +291,7 @@ doc = {
         "micro": "go test -bench 'BenchmarkSchedule$|BenchmarkCancel$|BenchmarkChurn$|BenchmarkScheduleShortDelta$|BenchmarkTimerChurn$' -benchmem ./internal/sim + go test -bench BenchmarkOpenLoopArrivals$ -benchmem ./internal/vmm",
         "smoke": "benchsuite -exp table3 -seed 42 -parallel 1",
         "openloop_500k": "coregapctl -workload openloop -rate {100000,500000} -clients 1048576 [-memstats]",
-        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} [+ -fresh | -snapshot=false at -parallel 1]",
+        "suite": "benchsuite -exp <legacy 11 experiments> -seed 42 -parallel {1,2,4,8} [+ -fresh at -parallel 1]",
         "openloop": "benchsuite -exp openloop,openloop-burst -seed 42 -parallel 4",
         "runner": "benchsuite -exp table3 -seed 42 -parallel 2 -selfmetrics <file>",
     },
