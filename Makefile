@@ -77,11 +77,11 @@ bench-full:
 bench-paper:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# Start perf work from a pprof, not a guess: profiles the heaviest
-# registry experiment and leaves cpu.pprof/mem.pprof for
-# `go tool pprof`.
+# Start perf work from a pprof, not a guess: profiles the experiments
+# of perfbench's paper-long workload, the set the per-layer ledger is
+# measured on, and leaves cpu.pprof/mem.pprof for `go tool pprof`.
 profile:
-	$(GO) run ./cmd/benchsuite -exp fig6 -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
+	$(GO) run ./cmd/benchsuite -exp table4,table5,fig6,fig10 -parallel 1 -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
 	@echo "profile: wrote cpu.pprof and mem.pprof (go tool pprof cpu.pprof)"
 
 clean:

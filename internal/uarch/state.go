@@ -26,6 +26,19 @@ var defaultSizes = map[StructKind]int{
 	Prefetch:    64,
 }
 
+// touchLogLen bounds the touches a core records before it folds them
+// into its buffers unasked.
+const touchLogLen = 64
+
+// touch is one logged Touch: everything drain needs to replay it, with
+// the tag stream captured as it stood before Touch drew the seeds.
+type touch struct {
+	src        sim.Source
+	footprint  float64 // clamped to (0, 1]
+	secretFrac float64
+	domain     DomainID
+}
+
 // CoreState is the per-core microarchitectural state.
 type CoreState struct {
 	bufs [sharedKindsStart]*Buffer
@@ -33,6 +46,9 @@ type CoreState struct {
 	// means a same-core context switch between security domains occurred.
 	lastDomain DomainID
 	switches   uint64 // cross-domain same-core switches observed
+	// log holds the touches not yet folded into bufs, oldest first.
+	log  [touchLogLen]touch
+	nlog int
 }
 
 // NewCoreState returns a core with all structures empty.
@@ -51,15 +67,20 @@ func (cs *CoreState) Reset() {
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		cs.bufs[k].Reset()
 	}
+	cs.nlog = 0
 	cs.lastDomain = DomainNone
 	cs.switches = 0
 }
 
-// Buffer returns the structure of the given per-core kind.
+// Buffer returns the structure of the given per-core kind, with every
+// pending touch folded in. A later Touch is logged on the core, not in
+// the buffer, so callers must not hold the pointer across one: call
+// Buffer again to see it.
 func (cs *CoreState) Buffer(k StructKind) *Buffer {
 	if k.Shared() {
 		panic(fmt.Sprintf("uarch: %v is not per-core", k))
 	}
+	cs.drain()
 	return cs.bufs[k]
 }
 
@@ -74,6 +95,16 @@ func (cs *CoreState) DomainSwitches() uint64 { return cs.switches }
 // structures proportionally to footprint (0..1 of each structure's
 // capacity), tagging secretFrac of new entries as secret-derived.
 // tagSrc provides entry identities deterministically.
+//
+// Touch is the simulator's hottest call (every execution slice on every
+// core lands here), yet almost no fill is ever read: later touches
+// overwrite it first. So Touch only appends one record to the core's
+// touch log, and drain turns the log into per-structure fills when
+// someone reads the core. Each fill is seeded with one draw from the
+// shared tag stream, taken in structure order, and Touch advances
+// tagSrc by exactly those draws — one per per-core structure, whatever
+// the footprint — so the stream every other consumer sees does not
+// depend on when, or whether, the fills happen.
 func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *sim.Source) {
 	if d != cs.lastDomain {
 		if cs.lastDomain != DomainNone && d != DomainNone {
@@ -87,42 +118,90 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	if footprint > 1 {
 		footprint = 1
 	}
-	// Record one lazy fillRun per structure, each seeded with a single
-	// draw from the shared tag stream: Touch advances tagSrc by exactly
-	// one draw per per-core structure, whatever the footprint, and a
-	// run's entries replay from sim.NewSource(seed) only if an
-	// entry-level reader ever looks. Tags are opaque identities — the
-	// security verdicts rest on each entry's domain and secret bit — so
-	// nothing depends on them continuing the shared stream. Touch is the
-	// simulator's single hottest loop (every execution slice on every
-	// core lands here, with n up to the 16K-entry L2); deferring the
-	// per-entry draws is what removed it from the profile.
-	frac := -1.0
-	if secretFrac > 0 {
-		frac = secretFrac
+	if cs.nlog == touchLogLen {
+		cs.drain()
 	}
+	cs.log[cs.nlog] = touch{src: *tagSrc, footprint: footprint, secretFrac: secretFrac, domain: d}
+	cs.nlog++
 	for k := StructKind(0); k < sharedKindsStart; k++ {
-		b := cs.bufs[k]
-		n := int(footprint * float64(b.cap))
-		if n == 0 {
-			n = 1
-		}
-		b.pushFill(d, n, frac, tagSrc.Uint64())
+		tagSrc.Uint64()
 	}
+}
+
+// drain folds every logged touch into the buffers and empties the log.
+//
+// Each buffer receives exactly the fillRuns pushFill's sliding window
+// would have kept had every touch been pushed eagerly: the shortest
+// suffix of the log whose fills cover the ring (or the whole log if it
+// does not). The touches before that suffix are overwritten before
+// anyone could read them, so they only advance the ring cursor, and
+// their seeds are never drawn.
+func (cs *CoreState) drain() {
+	if cs.nlog == 0 {
+		return
+	}
+	var first [sharedKindsStart]int // per kind: oldest touch pushed
+	lo := cs.nlog
+	for k, b := range cs.bufs {
+		i, need := cs.nlog, b.cap
+		for i > 0 && need > 0 {
+			i--
+			need -= fillLen(cs.log[i].footprint, b.cap)
+		}
+		if i > 0 {
+			skipped := 0
+			for j := 0; j < i; j++ {
+				skipped += fillLen(cs.log[j].footprint, b.cap)
+			}
+			b.skip(skipped)
+		}
+		first[k] = i
+		lo = min(lo, i)
+	}
+	for i := lo; i < cs.nlog; i++ {
+		t := &cs.log[i]
+		frac := -1.0
+		if t.secretFrac > 0 {
+			frac = t.secretFrac
+		}
+		src := t.src
+		for k := StructKind(0); k < sharedKindsStart; k++ {
+			seed := src.Uint64()
+			if i >= first[k] {
+				b := cs.bufs[k]
+				b.pushFill(t.domain, fillLen(t.footprint, b.cap), frac, seed)
+			}
+		}
+	}
+	cs.nlog = 0
+}
+
+// fillLen is the number of entries a touch of the given footprint
+// writes into a structure of the given capacity: at least one.
+func fillLen(footprint float64, capacity int) int {
+	return max(1, int(footprint*float64(capacity)))
+}
+
+// warmthWeights weights each structure's occupancy in Warmth toward the
+// ones that dominate restart cost. Warmth sums them in this order, so
+// its float result does not depend on iteration order.
+var warmthWeights = [...]struct {
+	kind   StructKind
+	weight float64
+}{
+	{L1D, 0.25}, {L1I, 0.10}, {L2, 0.35}, {DTLB, 0.10}, {ITLB, 0.05},
+	{BTB, 0.10}, {UopCache, 0.05},
 }
 
 // Warmth reports the fraction of per-core cache/TLB/predictor capacity
 // currently holding d's entries, weighted toward the structures that
 // dominate restart cost (L1, L2, TLBs). 1.0 means fully warm.
 func (cs *CoreState) Warmth(d DomainID) float64 {
-	weights := map[StructKind]float64{
-		L1D: 0.25, L1I: 0.10, L2: 0.35, DTLB: 0.10, ITLB: 0.05,
-		BTB: 0.10, UopCache: 0.05,
-	}
+	cs.drain()
 	var w, total float64
-	for k, wt := range weights {
-		w += wt * cs.bufs[k].Occupancy(d)
-		total += wt
+	for _, kw := range warmthWeights {
+		w += kw.weight * cs.bufs[kw.kind].Occupancy(d)
+		total += kw.weight
 	}
 	return w / total
 }
@@ -130,8 +209,9 @@ func (cs *CoreState) Warmth(d DomainID) float64 {
 // FlushAll architecturally flushes every per-core structure and returns
 // the modelled time cost. This is the mitigation work a shared-core
 // security monitor must perform on every world switch (§2.1: "flushing
-// carries an inevitable cost").
+// carries an inevitable cost"). Pending touches are dropped unfolded.
 func (cs *CoreState) FlushAll(costs FlushCosts) sim.Duration {
+	cs.nlog = 0
 	var total sim.Duration
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		cs.bufs[k].Flush()
@@ -145,6 +225,7 @@ func (cs *CoreState) FlushAll(costs FlushCosts) sim.Duration {
 // FPU state) — the verw/BHB-clear/FEDISABLE-style sequence — and
 // returns its time cost.
 func (cs *CoreState) FlushMitigations(costs FlushCosts) sim.Duration {
+	cs.drain()
 	var total sim.Duration
 	for _, k := range []StructKind{BTB, RSB, StoreBuffer, FillBuffer, LoadPort, FPURegs, UopCache} {
 		cs.bufs[k].Flush()
@@ -155,6 +236,7 @@ func (cs *CoreState) FlushMitigations(costs FlushCosts) sim.Duration {
 
 // ResidueFor reports, per structure, foreign entries visible to reader.
 func (cs *CoreState) ResidueFor(reader DomainID) map[StructKind][]Entry {
+	cs.drain()
 	out := make(map[StructKind][]Entry)
 	for k := StructKind(0); k < sharedKindsStart; k++ {
 		if r := cs.bufs[k].Residue(reader); len(r) > 0 {

@@ -133,8 +133,11 @@ type Entry struct {
 // replacement. FIFO (rather than LRU) keeps the model simple; replacement
 // policy does not affect any security verdict, only warmth decay shape.
 //
-// Bulk fills from Touch are LAZY: they are recorded as fillRuns (domain,
-// count, tag seed), and the per-entry draws only happen if an
+// Bulk fills are LAZY twice over. A CoreState first appends each Touch
+// to its touch log, and only when someone reads the core does it fold
+// the log into its buffers as fillRuns (domain, count, tag seed) —
+// just the newest runs that cover the ring, since older ones would
+// only be overwritten. The per-entry draws then happen only if an
 // entry-level reader — Residue, Insert, FlushDomain — ever looks
 // (materialize replays each run from its seed, producing exactly the
 // entries eager Inserts drawn from sim.NewSource(seed) would have
@@ -148,13 +151,14 @@ type Buffer struct {
 	entries []Entry // materialized prefix; ring position == index
 	next    int     // FIFO replacement cursor of the materialized prefix
 
-	// Deferred fills, oldest first. While pend > 0 the buffer's true
-	// state is (entries, next) with every run replayed on top; vlen and
-	// vnext track the Len/next that replay would produce.
+	// Deferred fills, oldest first. While lazy the buffer's true state
+	// is (entries, next) with every run replayed on top; vlen and vnext
+	// track the Len/next that replay would produce.
 	runs  []fillRun
 	pend  int // total entries across runs
 	vlen  int
 	vnext int
+	lazy  bool // set by pushFill and skip, cleared by materialize and Flush
 }
 
 // fillRun is one deferred bulk fill: n entries by domain, whose tags
@@ -184,7 +188,7 @@ func (b *Buffer) Cap() int { return b.cap }
 
 // Len reports the number of valid entries.
 func (b *Buffer) Len() int {
-	if b.pend > 0 {
+	if b.lazy {
 		return b.vlen
 	}
 	return len(b.entries)
@@ -193,7 +197,7 @@ func (b *Buffer) Len() int {
 // Insert adds an entry, evicting the oldest when full. It reports the
 // evicted entry (Domain == DomainNone when nothing was evicted).
 func (b *Buffer) Insert(e Entry) (evicted Entry) {
-	if b.pend > 0 {
+	if b.lazy {
 		b.materialize()
 	}
 	if len(b.entries) < b.cap {
@@ -218,7 +222,7 @@ func (b *Buffer) Insert(e Entry) (evicted Entry) {
 // combined write window has not overwritten them.
 func (b *Buffer) CountDomain(d DomainID) int {
 	n := 0
-	if b.pend > 0 {
+	if b.lazy {
 		newer := 0
 		for i := len(b.runs) - 1; i >= 0; i-- {
 			r := &b.runs[i]
@@ -274,7 +278,7 @@ func (b *Buffer) Occupancy(d DomainID) float64 {
 // Residue reports all entries whose owner does not trust reader — i.e. the
 // foreign state a transient-execution primitive run by reader could sample.
 func (b *Buffer) Residue(reader DomainID) []Entry {
-	if b.pend > 0 {
+	if b.lazy {
 		b.materialize()
 	}
 	var out []Entry
@@ -306,6 +310,7 @@ func (b *Buffer) Flush() {
 	b.pend = 0
 	b.vlen = 0
 	b.vnext = 0
+	b.lazy = false
 }
 
 // Reset empties the buffer for reuse across trials. The entries slice
@@ -315,7 +320,7 @@ func (b *Buffer) Reset() { b.Flush() }
 
 // FlushDomain removes entries belonging to d, preserving others.
 func (b *Buffer) FlushDomain(d DomainID) {
-	if b.pend > 0 {
+	if b.lazy {
 		b.materialize()
 	}
 	kept := b.entries[:0]
@@ -336,27 +341,12 @@ func (b *Buffer) FlushDomain(d DomainID) {
 // pushFill records a deferred bulk fill of n entries by domain d whose
 // tags replay from sim.NewSource(seed).
 func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, seed uint64) {
-	if b.pend == 0 {
-		b.vlen, b.vnext = len(b.entries), b.next
-	}
-	start := b.vlen
-	if b.vlen == b.cap {
-		start = b.vnext
-	}
+	start := b.advance(n)
 	b.runs = append(b.runs, fillRun{
 		seed: seed, n: int32(n), start: int32(start),
 		domain: d, secretFrac: secretFrac,
 	})
 	b.pend += n
-	if b.vlen += n; b.vlen >= b.cap {
-		b.vlen = b.cap
-		b.vnext = start + n
-		for b.vnext >= b.cap {
-			b.vnext -= b.cap
-		}
-	} else {
-		b.vnext = 0
-	}
 	// Slide the window: runs fully overwritten by everything recorded
 	// after them will never be observed, so drop them (and their replay
 	// cost) now.
@@ -368,6 +358,40 @@ func (b *Buffer) pushFill(d DomainID, n int, secretFrac float64, seed uint64) {
 	if drop > 0 {
 		b.runs = b.runs[:copy(b.runs, b.runs[drop:])]
 	}
+}
+
+// skip moves the ring cursor past n entries without recording them. It
+// is only sound when pushFills totalling at least Cap() entries follow
+// before anyone reads the buffer: those overwrite every slot, so what
+// the skipped entries held, and everything they overwrote, is never
+// observed. The buffer therefore drops its old entries and runs and
+// keeps only the advanced cursor.
+func (b *Buffer) skip(n int) {
+	b.advance(n)
+	b.entries = b.entries[:0]
+	b.next = 0
+	b.runs = b.runs[:0]
+	b.pend = 0
+}
+
+// advance moves the pending cursor (vlen, vnext) past n newly written
+// entries and reports the ring position where the first of them lands.
+func (b *Buffer) advance(n int) (start int) {
+	if !b.lazy {
+		b.vlen, b.vnext = len(b.entries), b.next
+		b.lazy = true
+	}
+	start = b.vlen
+	if b.vlen == b.cap {
+		start = b.vnext
+	}
+	if b.vlen += n; b.vlen >= b.cap {
+		b.vlen = b.cap
+		b.vnext = (start + n) % b.cap
+	} else {
+		b.vnext = 0
+	}
+	return start
 }
 
 // materialize replays every pending run, reconstructing the exact
@@ -406,4 +430,5 @@ func (b *Buffer) materialize() {
 	b.next = b.vnext
 	b.runs = b.runs[:0]
 	b.pend = 0
+	b.lazy = false
 }
