@@ -3,7 +3,7 @@
 # a benchsuite smoke run, a traced-run smoke (Chrome trace export), the
 # perf smoke (microbenchmarks + allocation gates -> BENCH_8.json, no
 # wall-clock thresholds) and an end-to-end determinism check (serial CSV
-# and counter output == 8-way parallel output).
+# and counter output == fresh serial output == 8-way parallel output).
 
 GO ?= go
 
@@ -51,17 +51,21 @@ trace-smoke:
 	grep -q '"traceEvents"' "$$tmp/trace.json" && \
 	echo "trace-smoke: Chrome trace exported and well-formed"
 
-# The parallel runner must produce byte-identical artifacts and counter
-# banks to a serial run for the same seed. openloop rides along because
-# its per-window CSVs are the output most sensitive to trial scheduling;
-# fig9 because its counter CSVs are the ones that diverged when boot
-# state was cached per worker.
+# The parallel runner and a fresh (unpooled) serial run must produce
+# byte-identical artifacts and counter banks to a pooled serial run for
+# the same seed. openloop rides along because its per-window CSVs are
+# the output most sensitive to trial scheduling; fig9 because its
+# counter CSVs are the ones that diverged when boot state was cached per
+# worker; fig10 because it is the one experiment where the host
+# scheduler's quantum fires, including quanta armed late after a steal.
 determinism:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9 -parallel 1 -counters -csv "$$tmp/serial" >/dev/null && \
-	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9 -parallel 8 -counters -csv "$$tmp/parallel" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9,fig10 -parallel 1 -counters -csv "$$tmp/serial" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9,fig10 -parallel 1 -fresh -counters -csv "$$tmp/fresh" >/dev/null && \
+	$(GO) run ./cmd/benchsuite -exp table3,openloop,fig9,fig10 -parallel 8 -counters -csv "$$tmp/parallel" >/dev/null && \
+	diff -r "$$tmp/serial" "$$tmp/fresh" && \
 	diff -r "$$tmp/serial" "$$tmp/parallel" && \
-	echo "determinism: serial and parallel CSVs and counters identical"
+	echo "determinism: serial, fresh serial and parallel CSVs and counters identical"
 
 # Perf trajectory: engine microbenchmarks + a fixed benchsuite smoke
 # run, recorded in BENCH_8.json. A smoke, not a threshold — except the

@@ -59,6 +59,19 @@ var exitCycleWorkloads = []struct {
 		vm.VMM.VF.ConnectPeer(lg.OnResponse)
 		n.Eng.After(5*sim.Millisecond, "start-load", lg.Start)
 	}},
+	// The Fig. 10 loop: a parallel kernel build on virtio-blk, the only
+	// registry workload whose host slices outlast the scheduler quantum,
+	// so the quantum is armed and expires there too.
+	{"kbuild", 8, func(t *testing.T, n *Node) {
+		vcpus := 8
+		if n.Opts.Mode == Gapped {
+			vcpus = 7
+		}
+		kb := guest.NewKBuild(1000, vcpus, 250*sim.Millisecond, n.Eng.Source("kbuild"))
+		if _, err := n.NewVM("vm0", vcpus, kb); err != nil {
+			t.Fatal(err)
+		}
+	}},
 }
 
 // TestZeroAllocExitCycle is the allocation gate of the paper path: once

@@ -306,6 +306,32 @@ func TestOfflineCoreMigratesThreads(t *testing.T) {
 	}
 }
 
+// TestOfflineCoreDuringStealKeepsWork offlines a core while an IRQ steal
+// has interrupted its thread: the thread keeps the work the steal saved,
+// finishes it on the surviving core and is charged each nanosecond once.
+func TestOfflineCoreDuringStealKeepsWork(t *testing.T) {
+	eng, _, k := newKernel(t, 2)
+	th := k.NewThread("w", ClassNormal, hw.NoCore)
+	var done sim.Time
+	k.Submit(th, "j", 10_000, func() { done = eng.Now() })
+	eng.After(5_000, "irq", func() { k.StealCPU(0, 1_000, nil) })
+	eng.After(5_500, "unplug", func() {
+		if err := k.OfflineCore(0, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	eng.Run()
+	if th.Core() != 1 {
+		t.Fatalf("thread on core %d, want 1", th.Core())
+	}
+	if done != 10_500 {
+		t.Fatalf("thread done at %v, want 10500 (5000 run, migrated at 5500, 5000 left)", done)
+	}
+	if th.CPUTime() != 10_000 {
+		t.Fatalf("thread charged %v, want 10000", th.CPUTime())
+	}
+}
+
 func TestOfflineCoreHandoffToRealm(t *testing.T) {
 	eng, m, k := newKernel(t, 2)
 	handed := false

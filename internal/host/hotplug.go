@@ -55,9 +55,13 @@ func (k *Kernel) OfflineCore(id hw.CoreID, handoff func()) error {
 	var displaced []*Thread
 	if cs.cur != nil {
 		t := cs.cur
-		t.rem = k.mach.Core(id).Exec.Preempt()
-		t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-		cs.quantum.Disarm()
+		if !cs.stealing {
+			// During an IRQ steal the executor is idle and the steal
+			// already saved the remaining work and charged the slice.
+			t.rem = k.mach.Core(id).Exec.Preempt()
+			t.cpuTime += k.eng.Now().Sub(t.sliceStart)
+		}
+		cs.stopQuantum()
 		cs.cur = nil
 		t.state = Runnable
 		displaced = append(displaced, t)

@@ -126,6 +126,7 @@ func (cs *coreSched) endSteal() {
 	// just restart its executor slice.
 	if t != nil && cs.cur == t && t.state == Running && t.hasCur {
 		k.startCurrent(cs)
+		cs.restartQuantum(t.rem)
 		return
 	}
 	if t != nil {

@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"fmt"
 
 	"coregap/internal/fifo"
 	"coregap/internal/gic"
@@ -50,12 +51,20 @@ type Kernel struct {
 }
 
 type coreSched struct {
-	k       *Kernel
-	id      hw.CoreID
-	cur     *Thread
-	fifoQ   fifo.Ring[*Thread]
-	normQ   fifo.Ring[*Thread]
-	quantum *sim.Timer
+	k     *Kernel
+	id    hw.CoreID
+	cur   *Thread
+	fifoQ fifo.Ring[*Thread]
+	normQ fifo.Ring[*Thread]
+	// quantum expires the running normal-class slice at deadline (0 when
+	// no slice has one). It is queued only when it can fire: at dispatch
+	// when the work outlasts the quantum, or once a steal pushes the
+	// completion to or past the deadline. qseq is the engine sequence
+	// number reserved for it at dispatch, so a late arm fires in the
+	// same-instant order an arm at dispatch would have.
+	quantum  *sim.Timer
+	deadline sim.Time
+	qseq     uint64
 	// stealing marks an in-progress IRQ steal: the executor belongs to
 	// the IRQ path until it completes. stolen is the thread the steal
 	// interrupted (nil when the core was idle).
@@ -117,8 +126,14 @@ func (k *Kernel) Distributor() *gic.Distributor { return k.dist }
 // Metrics reports the kernel's metric set.
 func (k *Kernel) Metrics() *trace.Set { return k.met }
 
-// SetQuantum overrides the normal-class timeslice.
-func (k *Kernel) SetQuantum(q sim.Duration) { k.quantum = q }
+// SetQuantum overrides the normal-class timeslice. A quantum must be
+// positive.
+func (k *Kernel) SetQuantum(q sim.Duration) {
+	if q <= 0 {
+		panic(fmt.Sprintf("host: non-positive quantum %v", q))
+	}
+	k.quantum = q
+}
 
 // NewThread creates a blocked thread. pin may be hw.NoCore.
 func (k *Kernel) NewThread(name string, class Class, pin hw.CoreID) *Thread {
@@ -158,7 +173,7 @@ func (k *Kernel) Kill(t *Thread) {
 			// was already charged when the steal preempted it.
 			t.cpuTime += k.eng.Now().Sub(t.sliceStart)
 		}
-		cs.quantum.Disarm()
+		cs.stopQuantum()
 		cs.cur = nil
 		t.state = Dead
 		k.dispatch(cs)
@@ -241,7 +256,7 @@ func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
 	}
 	t.rem = k.mach.Core(cs.id).Exec.Preempt()
 	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-	cs.quantum.Disarm()
+	cs.stopQuantum()
 	cs.cur = nil
 	t.state = Runnable
 	q := &cs.normQ
@@ -253,6 +268,38 @@ func (k *Kernel) preemptCurrent(cs *coreSched, front bool) {
 	} else {
 		q.PushBack(t)
 	}
+}
+
+// startQuantum gives the slice just started on cs a quantum deadline
+// and reserves the quantum's place among same-instant events. Host
+// slices run at speed 1.0, so the slice completes rem from now: a
+// completion at the deadline itself was scheduled first and wins, so
+// only rem > quantum can be preempted.
+func (cs *coreSched) startQuantum(rem sim.Duration) {
+	k := cs.k
+	cs.deadline = k.eng.Now().Add(k.quantum)
+	cs.qseq = cs.quantum.Reserve()
+	if rem > k.quantum {
+		cs.quantum.ArmReserved(cs.deadline, cs.qseq)
+	}
+}
+
+// restartQuantum arms the quantum late after an IRQ steal restarted the
+// slice with rem left, if the completion now lands at or past a
+// deadline still ahead. At the deadline itself the restarted completion
+// is newer than the reserved quantum, so the quantum wins the tie. A
+// deadline that passed during the steal stays a no-op.
+func (cs *coreSched) restartQuantum(rem sim.Duration) {
+	now := cs.k.eng.Now()
+	if cs.deadline > now && !cs.quantum.Pending() && now.Add(rem) >= cs.deadline {
+		cs.quantum.ArmReserved(cs.deadline, cs.qseq)
+	}
+}
+
+// stopQuantum ends the current slice's quantum.
+func (cs *coreSched) stopQuantum() {
+	cs.quantum.Disarm()
+	cs.deadline = 0
 }
 
 func (cs *coreSched) quantumExpired() {
@@ -295,10 +342,11 @@ func (k *Kernel) dispatch(cs *coreSched) {
 	}
 	k.mach.Core(cs.id).RecordExecution(dom, fp, 0)
 	k.startCurrent(cs)
-	// Arm the quantum after starting the slice so that a slice completing
-	// exactly at quantum expiry counts as a completion, not a preemption.
+	// Reserve the quantum after starting the slice so that a slice
+	// completing exactly at quantum expiry counts as a completion, not a
+	// preemption.
 	if t.class == ClassNormal {
-		cs.quantum.Arm(k.quantum)
+		cs.startQuantum(t.rem)
 	}
 }
 
@@ -316,7 +364,7 @@ func (k *Kernel) startCurrent(cs *coreSched) {
 func (cs *coreSched) completeSlice() {
 	k, t := cs.k, cs.cur
 	t.cpuTime += k.eng.Now().Sub(t.sliceStart)
-	cs.quantum.Disarm()
+	cs.stopQuantum()
 	fn := t.cur.fn
 	t.cur = workItem{}
 	t.hasCur = false

@@ -167,6 +167,19 @@ func TestZeroAllocCancel(t *testing.T) {
 	})
 }
 
+// TestZeroAllocArmReserved gates the reserve → late arm → fire path of
+// a timer queued only once it can fire.
+func TestZeroAllocArmReserved(t *testing.T) {
+	allocGateEngines(func(name string, e *Engine) {
+		tm := NewTimer(e, "gate", func() {})
+		zeroAllocs(t, "reserve+arm+fire/"+name, func() {
+			seq := tm.Reserve()
+			tm.ArmReserved(e.Now()+1, seq)
+			e.Step()
+		})
+	})
+}
+
 // TestZeroAllocDeepQueue gates the full-depth restructuring path: the
 // queue stays 256 deep while events churn through it (full-depth heap
 // sifts).

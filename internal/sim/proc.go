@@ -6,6 +6,13 @@ import "fmt"
 // cancel-and-reschedule pattern used pervasively by periodic hardware
 // timers and watchdogs in the models.
 //
+// A timer that usually gets disarmed before it fires need not be queued
+// at all: Reserve takes the engine sequence number an Arm made now would
+// get, and ArmReserved queues the expiry later, only once it is known it
+// can fire, under that earlier number. Among events at its instant the
+// expiry then fires exactly where the eager Arm's would have, and every
+// other event keeps the sequence number it would have had.
+//
 // The label is fixed at construction and the expiry callback is bound
 // once, so arming allocates nothing.
 type Timer struct {
@@ -14,6 +21,10 @@ type Timer struct {
 	label string
 	fn    func()
 	fire  func() // t.expire, bound once
+	// rseq is the latest reservation and repoch the engine life
+	// (Engine.resets) it was taken in.
+	rseq   uint64
+	repoch uint64
 }
 
 // NewTimer returns an unarmed timer that will invoke fn when it fires.
@@ -39,6 +50,27 @@ func (t *Timer) Arm(d Duration) {
 func (t *Timer) ArmAt(at Time) {
 	t.Disarm()
 	t.ev = t.eng.At(at, t.label, t.fire)
+}
+
+// Reserve takes the engine sequence number an Arm made now would get,
+// and queues nothing. Pass it to ArmReserved to arm the timer later in
+// the same-instant order of now.
+func (t *Timer) Reserve() uint64 {
+	t.rseq, t.repoch = t.eng.reserve(), t.eng.resets
+	return t.rseq
+}
+
+// ArmReserved (re)schedules the timer to fire at absolute time at under
+// seq, the timer's latest reservation. It panics unless at is after now
+// (an instant already being dispatched cannot take an older sequence
+// number) and seq is that reservation, taken since the engine's last
+// Reset.
+func (t *Timer) ArmReserved(at Time, seq uint64) {
+	if seq != t.rseq || t.repoch != t.eng.resets || seq == 0 {
+		panic(fmt.Sprintf("sim: timer %q armed with seq %d, not its live reservation", t.label, seq))
+	}
+	t.Disarm()
+	t.ev = t.eng.atReserved(at, seq, t.label, t.fire)
 }
 
 // Disarm cancels a pending expiry, if any.

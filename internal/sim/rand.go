@@ -126,7 +126,10 @@ func ln(x float64) float64 {
 	return mathLog(x)
 }
 
-func mix(a, b uint64) uint64 {
+// Mix hashes the pair (a, b) into a well-distributed 64-bit value: the
+// splitmix64 output for state a ^ rotl(b, 29). Mix(v, 0), Mix(v, 1), ...
+// derive independent seeds from one drawn value v.
+func Mix(a, b uint64) uint64 {
 	x := a ^ rotl(b, 29)
 	x = splitmix64(&x)
 	return x

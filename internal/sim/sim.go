@@ -125,6 +125,9 @@ type Engine struct {
 	stopped bool
 	seed    uint64
 	sources map[string]*Source
+	// resets counts Reset calls, so a sequence number reserved in an
+	// earlier life of the engine is recognised as stale.
+	resets uint64
 
 	// Same-timestamp dispatch batch: Step pops the earliest event and
 	// every sibling sharing its timestamp in one popRun, then fires them
@@ -178,6 +181,7 @@ func (e *Engine) Reset(seed uint64) {
 	e.batchPos = 0
 	e.now = 0
 	e.seq = 0
+	e.resets++
 	e.stopped = false
 	e.seed = seed
 	e.fired = 0
@@ -185,7 +189,7 @@ func (e *Engine) Reset(seed uint64) {
 	e.trc = nil
 	clear(e.counts)
 	for name, s := range e.sources {
-		s.reseed(mix(seed, hashString(name)))
+		s.reseed(Mix(seed, hashString(name)))
 	}
 }
 
@@ -213,6 +217,34 @@ func (e *Engine) At(t Time, label string, fn func()) Event {
 	e.q.push(ev)
 	if e.trc != nil {
 		e.trc.EmitDetail(TCEngine, "sched", label, LaneGlobal, int64(ev.seq))
+	}
+	return Event{n: ev, gen: ev.gen}
+}
+
+// reserve takes the next sequence number without scheduling anything,
+// so that an event queued later with atReserved orders among
+// same-instant events as if it had been scheduled now.
+func (e *Engine) reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// atReserved schedules fn at t under a sequence number taken earlier by
+// reserve. t must be after now: the dispatch batch for the current
+// instant has already been popped, and an old sequence number cannot
+// join it.
+func (e *Engine) atReserved(t Time, seq uint64, label string, fn func()) Event {
+	if t <= e.now {
+		panic(fmt.Sprintf("sim: reserved %q at %v, not after now %v", label, t, e.now))
+	}
+	ev := e.alloc()
+	ev.at = t
+	ev.seq = seq
+	ev.fn = fn
+	ev.label = label
+	e.q.push(ev)
+	if e.trc != nil {
+		e.trc.EmitDetail(TCEngine, "sched", label, LaneGlobal, int64(seq))
 	}
 	return Event{n: ev, gen: ev.gen}
 }
@@ -382,7 +414,7 @@ func (e *Engine) Source(name string) *Source {
 	if s, ok := e.sources[name]; ok {
 		return s
 	}
-	s := NewSource(mix(e.seed, hashString(name)))
+	s := NewSource(Mix(e.seed, hashString(name)))
 	e.sources[name] = s
 	return s
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -354,6 +355,90 @@ func TestTimerDeadline(t *testing.T) {
 	tm.ArmAt(77)
 	if !tm.Pending() || tm.Deadline() != 77 {
 		t.Fatalf("deadline = %v, want 77", tm.Deadline())
+	}
+}
+
+// firedSeqs lists each fired event as label#seq, in firing order.
+func firedSeqs(tr *Tracer) []string {
+	var out []string
+	for _, ev := range tr.Events(nil) {
+		if ev.Name == "fire" {
+			out = append(out, fmt.Sprintf("%s#%d@%v", ev.Det, ev.Arg, ev.At))
+		}
+	}
+	return out
+}
+
+// TestTimerArmReservedMatchesEagerArm: a timer reserved at one instant
+// and armed later fires, among the events sharing its deadline, exactly
+// where an Arm at the reserving instant would have, and every event —
+// the timer's own included — fires under the same sequence number.
+func TestTimerArmReservedMatchesEagerArm(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		run := func(late bool) []string {
+			e := NewEngine(seed)
+			tr := e.EnableTracing(1 << 12)
+			rng := NewSource(seed)
+			tm := NewTimer(e, "quantum", func() {})
+			const deadline = 100
+			// Events at and around the deadline, queued before and
+			// after the reservation and from callbacks in between.
+			noop := func() {}
+			for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+				e.At(Time(99+rng.Intn(3)), "before", noop)
+			}
+			armAt := Time(1 + rng.Intn(98))
+			e.At(0, "reserve", func() {
+				if late {
+					seq := tm.Reserve()
+					e.At(armAt, "arm", func() { tm.ArmReserved(deadline, seq) })
+				} else {
+					tm.ArmAt(deadline)
+					e.At(armAt, "arm", noop)
+				}
+				for i, n := 0, rng.Intn(4); i < n; i++ {
+					e.At(Time(99+rng.Intn(3)), "after", noop)
+				}
+			})
+			e.At(Time(1+rng.Intn(98)), "queue", func() { e.At(deadline, "from-callback", noop) })
+			e.Run()
+			return firedSeqs(tr)
+		}
+		if got, want := fmt.Sprint(run(true)), fmt.Sprint(run(false)); got != want {
+			t.Fatalf("seed %d: late arm fired\n %s\neager arm\n %s", seed, got, want)
+		}
+	}
+}
+
+func TestTimerArmReservedPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine(1)
+	tm := NewTimer(e, "t", func() {})
+	mustPanic("arming an unreserved timer", func() { tm.ArmReserved(10, 0) })
+	seq := tm.Reserve()
+	mustPanic("arming at now", func() { tm.ArmReserved(0, seq) })
+	e.RunUntil(5)
+	mustPanic("arming before now", func() { tm.ArmReserved(4, seq) })
+	mustPanic("arming another seq", func() { tm.ArmReserved(10, seq+1) })
+	stale := tm.Reserve()
+	e.Reset(1)
+	e.At(0, "a", func() {})
+	e.At(0, "b", func() {})
+	mustPanic("arming a reservation from before Reset", func() { tm.ArmReserved(10, stale) })
+	if tm.Pending() {
+		t.Fatal("a refused arm left the timer pending")
+	}
+	tm.ArmReserved(10, tm.Reserve())
+	if !tm.Pending() || tm.Deadline() != 10 {
+		t.Fatalf("valid reserved arm: pending %v deadline %v", tm.Pending(), tm.Deadline())
 	}
 }
 

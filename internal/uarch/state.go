@@ -30,10 +30,11 @@ var defaultSizes = map[StructKind]int{
 // into its buffers unasked.
 const touchLogLen = 64
 
-// touch is one logged Touch: everything drain needs to replay it, with
-// the tag stream captured as it stood before Touch drew the seeds.
+// touch is one logged Touch: everything drain needs to replay it. tag
+// is the one value Touch drew from the shared tag stream; drain derives
+// every structure's fill seed from it.
 type touch struct {
-	src        sim.Source
+	tag        uint64
 	footprint  float64 // clamped to (0, 1]
 	secretFrac float64
 	domain     DomainID
@@ -100,11 +101,11 @@ func (cs *CoreState) DomainSwitches() uint64 { return cs.switches }
 // core lands here), yet almost no fill is ever read: later touches
 // overwrite it first. So Touch only appends one record to the core's
 // touch log, and drain turns the log into per-structure fills when
-// someone reads the core. Each fill is seeded with one draw from the
-// shared tag stream, taken in structure order, and Touch advances
-// tagSrc by exactly those draws — one per per-core structure, whatever
-// the footprint — so the stream every other consumer sees does not
-// depend on when, or whether, the fills happen.
+// someone reads the core. A touch with footprint > 0 draws exactly one
+// value from tagSrc, whatever the footprint, and every structure's fill
+// seed is derived from that value; a touch with no footprint draws
+// nothing. So the stream every other consumer sees does not depend on
+// when, or whether, the fills happen.
 func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *sim.Source) {
 	if d != cs.lastDomain {
 		if cs.lastDomain != DomainNone && d != DomainNone {
@@ -121,12 +122,12 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 	if cs.nlog == touchLogLen {
 		cs.drain()
 	}
-	cs.log[cs.nlog] = touch{src: *tagSrc, footprint: footprint, secretFrac: secretFrac, domain: d}
+	cs.log[cs.nlog] = touch{tag: tagSrc.Uint64(), footprint: footprint, secretFrac: secretFrac, domain: d}
 	cs.nlog++
-	for k := StructKind(0); k < sharedKindsStart; k++ {
-		tagSrc.Uint64()
-	}
 }
+
+// fillSeed derives structure k's fill seed from a touch's tag.
+func fillSeed(tag uint64, k StructKind) uint64 { return sim.Mix(tag, uint64(k)) }
 
 // drain folds every logged touch into the buffers and empties the log.
 //
@@ -135,7 +136,7 @@ func (cs *CoreState) Touch(d DomainID, footprint, secretFrac float64, tagSrc *si
 // suffix of the log whose fills cover the ring (or the whole log if it
 // does not). The touches before that suffix are overwritten before
 // anyone could read them, so they only advance the ring cursor, and
-// their seeds are never drawn.
+// their seeds are never derived.
 func (cs *CoreState) drain() {
 	if cs.nlog == 0 {
 		return
@@ -164,12 +165,9 @@ func (cs *CoreState) drain() {
 		if t.secretFrac > 0 {
 			frac = t.secretFrac
 		}
-		src := t.src
-		for k := StructKind(0); k < sharedKindsStart; k++ {
-			seed := src.Uint64()
+		for k, b := range cs.bufs {
 			if i >= first[k] {
-				b := cs.bufs[k]
-				b.pushFill(t.domain, fillLen(t.footprint, b.cap), frac, seed)
+				b.pushFill(t.domain, fillLen(t.footprint, b.cap), frac, fillSeed(t.tag, StructKind(k)))
 			}
 		}
 	}

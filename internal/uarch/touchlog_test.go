@@ -9,7 +9,8 @@ import (
 
 // eagerCore is the reference the touch log must reproduce: a core whose
 // Touch fills every structure entry by entry, at once, seeding structure
-// k's fill with the k-th of its draws from the shared tag stream.
+// k's fill with fillSeed(tag, k) from its one draw from the shared tag
+// stream.
 type eagerCore struct {
 	bufs       [sharedKindsStart]*Buffer
 	lastDomain DomainID
@@ -37,12 +38,13 @@ func (e *eagerCore) touch(d DomainID, footprint, secretFrac float64, tagSrc *sim
 	if footprint > 1 {
 		footprint = 1
 	}
-	for _, b := range e.bufs {
+	tag := tagSrc.Uint64()
+	for k, b := range e.bufs {
 		n := int(footprint * float64(b.Cap()))
 		if n == 0 {
 			n = 1
 		}
-		eagerFill(b, d, n, secretFrac, tagSrc.Uint64())
+		eagerFill(b, d, n, secretFrac, fillSeed(tag, StructKind(k)))
 	}
 }
 
@@ -164,6 +166,24 @@ func TestTouchLogMatchesEagerFills(t *testing.T) {
 		}
 		for _, k := range PerCoreKinds() {
 			sameEntries(t, k, cs.Buffer(k), ref.bufs[k])
+		}
+	}
+}
+
+// TestTouchDrawsOncePerFill pins Touch's draw contract: a touch with a
+// footprint advances the shared tag stream by exactly one value, and a
+// touch without one leaves it where it was.
+func TestTouchDrawsOncePerFill(t *testing.T) {
+	cs, src := NewCoreState(), sim.NewSource(5)
+	for i := 0; i < 3*touchLogLen; i++ {
+		fp := testFootprints[i%len(testFootprints)]
+		want := *src
+		if fp > 0 {
+			want.Uint64()
+		}
+		cs.Touch(testDomains[i%len(testDomains)], fp, testSecrets[i%len(testSecrets)], src)
+		if *src != want {
+			t.Fatalf("touch %d (footprint %v): tag stream not advanced by one draw if footprint > 0, else none", i, fp)
 		}
 	}
 }

@@ -306,8 +306,8 @@ func TestFlushCostsComplete(t *testing.T) {
 // drawn from sim.NewSource(seed) produce, in the same ring positions,
 // across growth, wrap-around and secret-tagging cases; Len and
 // CountDomain agree while runs are still pending; and Touch advances
-// the shared tag stream by exactly one draw (the run's seed) per
-// per-core structure.
+// the shared tag stream by exactly one draw, from which every per-core
+// structure's run seed is derived.
 func TestFillMatchesSequentialInsert(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -360,6 +360,7 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 		tagSrc, mirror := sim.NewSource(7), sim.NewSource(7)
 		const footprint, secretFrac = 0.4, 0.3
 		cs.Touch(Guest(0), footprint, secretFrac, tagSrc)
+		tag := mirror.Uint64()
 		for _, k := range PerCoreKinds() {
 			b := cs.Buffer(k)
 			ref := NewBuffer(k, b.Cap())
@@ -367,7 +368,7 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 			if n == 0 {
 				n = 1
 			}
-			eagerFill(ref, Guest(0), n, secretFrac, mirror.Uint64())
+			eagerFill(ref, Guest(0), n, secretFrac, fillSeed(tag, k))
 			got, want := b.Residue(DomainHost), ref.Residue(DomainHost)
 			if len(got) != len(want) {
 				t.Fatalf("%v: %d entries, eager %d", k, len(got), len(want))
@@ -379,7 +380,7 @@ func TestFillMatchesSequentialInsert(t *testing.T) {
 			}
 		}
 		if tagSrc.Uint64() != mirror.Uint64() {
-			t.Fatal("Touch did not advance the tag stream by one draw per per-core structure")
+			t.Fatal("Touch did not advance the tag stream by exactly one draw")
 		}
 	})
 }
